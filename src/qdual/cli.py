@@ -331,6 +331,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "bound", 1) < 1 or getattr(args, "samples", 1) < 1:
         parser.error("bound and samples must be at least 1")
+    if getattr(args, "degree", 0) < 0 or getattr(args, "length", 0) < 0:
+        parser.error("degree and length must be at least 0")
+    if (args.command == "verify" and args.suite in ("all", "two-of-three")
+            and args.bound < 2):
+        parser.error("suite two-of-three needs bound >= 2")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -5,6 +5,11 @@ Zero-row and zero-column shapes are legal everywhere; the zero module
 upstream depends on that.  All pivoting is deterministic (leftmost pivot
 column, topmost nonzero row), so every derived basis is reproducible
 bit-for-bit.
+
+Elimination updates, at each pivot, only the rows with a nonzero entry
+in the pivot column; every other row would subtract zero, so the result
+is the same as rewriting the whole matrix, at a fraction of the cost on
+the sparse matrices resolutions produce.
 """
 
 from __future__ import annotations
@@ -45,16 +50,19 @@ def rref(a, p, limit=None):
     for col in range(stop):
         if row == rows:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = np.flatnonzero(r[row:, col])
         if nz.size == 0:
             continue
         k = row + int(nz[0])
         if k != row:
             r[[row, k]] = r[[k, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
+        if r[row, col] != 1:
+            r[row] = r[row] * inv_mod(r[row, col], p) % p
         factors = r[:, col].copy()
         factors[row] = 0
-        r = (r - np.outer(factors, r[row])) % p
+        hits = np.flatnonzero(factors)
+        if hits.size:
+            r[hits] = (r[hits] - np.outer(factors[hits], r[row])) % p
         pivots.append(col)
         row += 1
     return r, len(pivots), pivots

@@ -178,6 +178,13 @@ def minimal_generators(module):
     only if it falls outside the submodule generated by mM and the
     previously kept ones, so the images form a residue-field basis of
     M/mM even when the residue field is larger than F_p.
+
+    No closure loop is needed: the running span is always a submodule
+    (mM, then mM + R c_1 + ...), so adding a kept candidate c gives
+    span + R c = span + F_p{e_j c}, one elimination over the whole ring
+    basis e_j (whose span holds the unit, so c itself is included).
+    The canonical basis depends only on the span, so this is the basis
+    `span_closure` would return.
     """
     p = module.ring.p
     rad = radical_submodule(module)
@@ -190,8 +197,9 @@ def minimal_generators(module):
         if linalg.in_span(span, span_piv, c, p):
             continue
         chosen.append(c)
-        span, span_piv = span_closure(
-            module, np.concatenate([span, c], axis=1))
+        images = (module.action @ c % p)[:, :, 0].T
+        span, span_piv = linalg.canon_basis(
+            np.concatenate([span, images], axis=1), p)
     if not chosen:
         return linalg.zeros(module.dim, 0)
     return np.concatenate(chosen, axis=1)

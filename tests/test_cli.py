@@ -1,11 +1,12 @@
 """Command line surface: subcommands, exit codes, determinism."""
 
+import hashlib
 import io
 import sys
 
 import pytest
 
-from qdual import cli
+from qdual import cli, corpus_ring
 
 
 def run_cli(argv):
@@ -133,3 +134,63 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--ring", "corpus:r3", "-i", "-1", "k", "k"],
+    ["tor", "--ring", "corpus:r3", "--degree", "-1", "k", "k"],
+    ["resolve", "--ring", "corpus:r5", "-l", "-2", "k"],
+])
+def test_negative_degree_or_length_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 0" in captured.err
+
+
+def test_zero_degree_and_length_still_allowed():
+    code, out, _ = run_cli(["ext", "--ring", "corpus:r3", "-i", "0",
+                            "k", "k"])
+    assert (code, out.strip()) == (0, "dims 1")
+    code, out, _ = run_cli(["resolve", "--ring", "corpus:r5", "-l", "0",
+                            "k"])
+    assert (code, out.strip()) == (0, "betti 1")
+
+
+@pytest.mark.parametrize("suite", ["two-of-three", "all"])
+def test_two_of_three_bound_one_is_usage_error(suite, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--ring", "corpus:r3", "--suite", suite,
+                  "--bound", "1", "--samples", "1"])
+    assert info.value.code == 2
+    assert "two-of-three needs bound >= 2" in capsys.readouterr().err
+
+
+def test_bound_one_allowed_for_other_suites():
+    code, out, _ = run_cli(["verify", "--ring", "corpus:r3", "--suite",
+                            "hom-faithful", "--bound", "1", "--samples", "1"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("SUMMARY")
+
+
+# sha256 of the run_verify text (all suites, bound 4, samples 10, seed 7)
+# recorded before elimination and minimal_generators were optimised:
+# faster code must print the same bytes.
+VERIFY_DIGESTS = {
+    "r1": "12d58474ad5f9171d91335145e2d5b34443ca1db79b304f366ef51424842e390",
+    "r2": "5dedb109b8fe1503fe8d8a7e56d2c40e374356d59a038ffad0efe0c6476a8187",
+    "r3": "634c0c639539ec1866c95176fb9437202a28a37a04e87fdb93b240b6944a2846",
+    "r4": "5eeaec430076cdcf5a8feb1d1a4c310023aa49a0269161aa2f0410df8c98f5af",
+    "r5": "8206b8dec2b91d5d3f18183a2317956e5e264067e0580090ab0714453b339da9",
+    "r6": "b45cf7967d231f92d1554cdccc3482115955896e0bfd20a1bdf26c2abc70445e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DIGESTS))
+def test_verify_text_is_byte_identical(name):
+    text, code = cli.run_verify(corpus_ring(name), list(cli.SUITES),
+                                4, 10, 7)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_DIGESTS[name]

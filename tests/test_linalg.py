@@ -127,3 +127,107 @@ def test_solve_recovers_solutions(mp, data):
     got = linalg.solve(a, b, p)
     assert got is not None
     assert np.array_equal(a @ got % p, b)
+
+
+# Differential test: the elimination as first written, kept verbatim as
+# the reference.  It rewrites every row at every pivot; `linalg.rref`
+# touches only the rows that are nonzero in the pivot column and must
+# return the same arrays, ranks and pivots.
+
+def reference_rref(a, p, limit=None):
+    r = np.array(a, dtype=np.int64) % p
+    rows, cols = r.shape
+    stop = cols if limit is None else limit
+    pivots = []
+    row = 0
+    for col in range(stop):
+        if row == rows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        k = row + int(nz[0])
+        if k != row:
+            r[[row, k]] = r[[k, row]]
+        r[row] = (r[row] * linalg.inv_mod(r[row, col], p)) % p
+        factors = r[:, col].copy()
+        factors[row] = 0
+        r = (r - np.outer(factors, r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, len(pivots), pivots
+
+
+def reference_kernel_with_support(a, p):
+    r, _, pivots = reference_rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in set(pivots)]
+    k = linalg.zeros(a.shape[1], len(free))
+    for j, f in enumerate(free):
+        k[f, j] = 1
+        for i, pc in enumerate(pivots):
+            k[pc, j] = (-r[i, f]) % p
+    return k, free
+
+
+DIFF_PRIMES = (2, 3, 5, 65521)
+
+
+@st.composite
+def elimination_inputs(draw, max_side=7):
+    """A matrix mod p, possibly with 0 rows or columns, and often rank
+    deficient: repeated and scaled copies of drawn rows are mixed in."""
+    p = draw(st.sampled_from(DIFF_PRIMES))
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1),
+                      st.integers(-2 * p, 2 * p))
+    a = np.array(draw(st.lists(entry, min_size=rows * cols,
+                               max_size=rows * cols)),
+                 dtype=np.int64).reshape(rows, cols)
+    if rows:
+        copies = draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                         st.integers(0, p - 1)),
+                               max_size=4))
+        extra = [a[i] * s for i, s in copies]
+        a = np.concatenate([a, np.array(extra, dtype=np.int64)
+                            .reshape(len(extra), cols)])
+        a = a[draw(st.permutations(range(a.shape[0])))]
+    limit = draw(st.none() | st.integers(0, cols))
+    return a, p, limit
+
+
+def _assert_same_rref(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[0].dtype == want[0].dtype
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+
+
+def test_rref_matches_reference_on_edge_shapes():
+    for p in DIFF_PRIMES:
+        for shape in ((0, 0), (0, 4), (4, 0), (1, 1), (3, 3)):
+            a = np.ones(shape, dtype=np.int64) * (p - 1)
+            for limit in (None, 0, shape[1]):
+                _assert_same_rref(linalg.rref(a, p, limit),
+                                  reference_rref(a, p, limit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_elimination_matches_reference(inp):
+    a, p, limit = inp
+    want = reference_rref(a, p)
+    _assert_same_rref(linalg.rref(a, p), want)
+    _assert_same_rref(linalg.rref(a, p, limit), reference_rref(a, p, limit))
+    assert linalg.rank(a, p) == want[1]
+
+    k, free = linalg.kernel_with_support(a, p)
+    k_ref, free_ref = reference_kernel_with_support(a, p)
+    assert np.array_equal(k, k_ref) and free == free_ref
+
+    # canon_basis spans the columns, so feed it the transpose as well
+    for vectors in (a, a.T):
+        basis, pivots = linalg.canon_basis(vectors % p, p)
+        r, rk, piv_ref = reference_rref((vectors % p).T, p)
+        assert np.array_equal(basis, r[:rk].T)
+        assert pivots == piv_ref

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
-                   direct_sum, free_module, minimal_generator_count,
-                   quotient_module, radical_submodule, random_module,
-                   random_ses, regular_module, sample_modules,
-                   ses_from_submodule, socle, submodule_generated,
-                   zero_module)
+                   direct_sum, ext_dims, ext_dims_via_injective,
+                   free_module, hom_module, minimal_free_resolution,
+                   minimal_generator_count, parse_ring, quotient_module,
+                   radical_submodule, random_module, random_ses,
+                   regular_module, sample_modules, ses_from_submodule,
+                   socle, submodule_generated, zero_module)
+from qdual import linalg
+from qdual.module import minimal_generators, span_closure
 from qdual.errors import (InvalidModuleMap, ModuleValidationError,
                           NotSubmodule)
 
@@ -116,3 +119,108 @@ def test_zero_module_is_first_class(r5):
     assert z.dim == 0
     assert minimal_generator_count(z) == 0
     assert socle(z).shape == (0, 0)
+
+
+# minimal_generators without a closure loop: compared with the loop that
+# re-closes the span under the action after every kept candidate.
+
+def closure_loop_generators(module):
+    p = module.ring.p
+    basis, pivots = linalg.canon_basis(radical_submodule(module), p)
+    _, sect, _ = linalg.complement(basis, pivots, module.dim, p)
+    chosen = []
+    span, span_piv = basis, pivots
+    for j in range(sect.shape[1]):
+        c = sect[:, j:j + 1]
+        if linalg.in_span(span, span_piv, c, p):
+            continue
+        chosen.append(c)
+        span, span_piv = span_closure(
+            module, np.concatenate([span, c], axis=1))
+    if not chosen:
+        return linalg.zeros(module.dim, 0)
+    return np.concatenate(chosen, axis=1)
+
+
+def _ring_text(name, p, dim, products):
+    """Ring file for basis e_0 = 1, e_1, ..., e_{dim-1}; products[(i, j)]
+    holds the coordinates of e_i e_j for 1 <= i <= j, missing ones are 0."""
+    lines = ["[ring]", "name = %s" % name, "p = %d" % p, "dim = %d" % dim,
+             "unit = " + " ".join(["1"] + ["0"] * (dim - 1))]
+    for i in range(dim):
+        for j in range(i, dim):
+            if i == 0:
+                coords = [int(t == j) for t in range(dim)]
+            else:
+                coords = products.get((i, j), [0] * dim)
+            lines.append("mul %d %d = %s" % (i, j, " ".join(map(str, coords))))
+    return "\n".join(lines) + "\n"
+
+
+# F_4[x]/(x^2) as an F_2-algebra with basis 1, a, x, ax and a^2 = a + 1:
+# residue field F_4, so generators are counted over a degree-2 extension.
+F4X = _ring_text("f4x", 2, 4, {(1, 1): [1, 1, 0, 0], (1, 2): [0, 0, 0, 1],
+                               (1, 3): [0, 0, 1, 1]})
+
+
+def _rebased(module, seed):
+    """The same module in a seeded random basis, so that the canonical
+    complement of mM is not aligned with the residue-field action."""
+    p, n = module.ring.p, module.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, p, size=(n, n), dtype=np.int64)
+        r, rk, _ = linalg.rref(np.concatenate([g, linalg.identity(n)],
+                                              axis=1), p, limit=n)
+        if rk == n:
+            break
+    g_inv = r[:, n:]
+    return Module(module.ring, n, g_inv @ module.action @ g % p)
+
+
+def _generator_subjects(ring):
+    """Modules of several shapes: builtins, samples, a sum, a Hom module,
+    the first syzygies of two resolutions, and all of them rebased."""
+    k, reg, inj = (builtin_module(ring, name) for name in ("k", "R", "E"))
+    samples = sample_modules(ring, 6, 5, max_dim=12)
+    mods = [zero_module(ring), k, reg, inj, *samples,
+            direct_sum(k, samples[-1]), hom_module(inj, samples[0]).module]
+    for m in (k, samples[-1]):
+        res = minimal_free_resolution(m, 3)
+        maps = (res.augmentation.matrix,) + res.diffs[:-1]
+        for rank, d in zip(res.betti, maps):
+            kern = linalg.kernel_basis(d, ring.p)
+            if kern.shape[1]:
+                mods.append(submodule_generated(free_module(ring, rank),
+                                                kern)[0])
+    return mods + [_rebased(m, i) for i, m in enumerate(mods)]
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + [parse_ring(F4X)], ids=lambda r: r.name)
+def test_minimal_generators_match_closure_loop(ring):
+    for module in _generator_subjects(ring):
+        got = minimal_generators(module)
+        want = closure_loop_generators(module)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), module
+
+
+def test_residue_extension_with_nilpotents():
+    ring = parse_ring(F4X)
+    assert ring.residue_degree == 2
+    k = builtin_module(ring, "k")
+    assert minimal_free_resolution(k, 4).betti == (1, 1, 1, 1, 1)
+    assert ext_dims(k, k, 3).dims == (2, 2, 2, 2)
+    assert ext_dims_via_injective(k, k, 3).dims == (2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_betti_of_k_grow_as_embedding_dimension_powers(p):
+    # F_p[x,y,z]/(x,y,z)^2 has m^2 = 0 and embedding dimension e = 3, so
+    # k has Poincare series 1/(1 - e t) (Avramov, "Infinite free
+    # resolutions", 1998)
+    ring = parse_ring(_ring_text("rsz", p, 4, {}))
+    k = builtin_module(ring, "k")
+    assert minimal_free_resolution(k, 4).betti == (1, 3, 9, 27, 81)
