@@ -57,93 +57,82 @@ class CheckReport:
                            for label, _, witness in self.conditions]
 
 
-def _map_witness(f):
+def _add_iso(report, label, f):
+    """One condition: the natural map f is an isomorphism."""
     iso, diag = is_isomorphism(f)
-    return "%dx%d, injective=%s, surjective=%s" % (
+    report.add(label, iso, "%dx%d, injective=%s, surjective=%s" % (
         f.matrix.shape[0], f.matrix.shape[1],
-        diag["injective"], diag["surjective"])
+        diag["injective"], diag["surjective"]))
 
 
-def _ext_vanishing(report, label, m, n, bound):
+def _vanishing(report, label, dims, name, m, n, bound):
+    """One condition: degrees 1..B of dims(M, N) vanish; `name` formats
+    the failing degree, as "Ext^%d"."""
     # degree by degree so a failure in low degree skips the expensive
     # tail of the resolution
     for i in range(1, bound + 1):
-        d = ext_dims(m, n, i).dims[i]
+        d = dims(m, n, i).dims[i]
         if d:
-            report.add(label, False, "Ext^%d has dim %d" % (i, d))
-            return False
+            report.add(label, False, "%s has dim %d" % (name % i, d))
+            return
     report.add(label, True, "")
-    return True
 
 
-def _tor_vanishing(report, label, m, n, bound):
-    for i in range(1, bound + 1):
-        d = tor_dims(m, n, i).dims[i]
-        if d:
-            report.add(label, False, "Tor_%d has dim %d" % (i, d))
-            return False
-    report.add(label, True, "")
-    return True
+def _dualizing(name, finiteness, c, bound):
+    """The conditions both dualizing predicates share; `finiteness` is
+    the automatic finiteness hypothesis the report notes."""
+    report = CheckReport(name, bound)
+    report.note(finiteness, "automatic: finite length")
+    _add_iso(report, "homothety-iso", homothety_map(c))
+    _vanishing(report, "self-ext-vanishing", ext_dims, "Ext^%d", c, c, bound)
+    return report
 
 
 def is_semidualizing(c, bound=DEFAULT_BOUND):
     """Homothety iso plus Ext^i(C, C) = 0 for 1 <= i <= B."""
-    report = CheckReport("semidualizing(%s)" % (c.name or "C"), bound)
-    report.note("finitely-generated", "automatic: finite length")
-    chi = homothety_map(c)
-    iso, _ = is_isomorphism(chi)
-    report.add("homothety-iso", iso, _map_witness(chi))
-    _ext_vanishing(report, "self-ext-vanishing", c, c, bound)
-    return report
+    return _dualizing("semidualizing(%s)" % (c.name or "C"),
+                      "finitely-generated", c, bound)
 
 
 def is_quasidualizing(t, bound=DEFAULT_BOUND):
     """Same conditions; the homothety target ring is its own completion
     since every ring here is artinian."""
-    report = CheckReport("quasidualizing(%s)" % (t.name or "T"), bound)
-    report.note("artinian", "automatic: finite length")
-    chi = homothety_map(t)
-    iso, _ = is_isomorphism(chi)
-    report.add("homothety-iso", iso, _map_witness(chi))
-    _ext_vanishing(report, "self-ext-vanishing", t, t, bound)
-    return report
+    return _dualizing("quasidualizing(%s)" % (t.name or "T"), "artinian",
+                      t, bound)
 
 
 def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
     """Biduality into Hom(Hom(L,M),M) iso and two Ext vanishings."""
     report = CheckReport("derived-reflexive", bound)
-    delta = biduality_map(l, m)
-    iso, _ = is_isomorphism(delta)
-    report.add("biduality-iso", iso, _map_witness(delta))
-    _ext_vanishing(report, "ext(L,M)-vanishing", l, m, bound)
+    _add_iso(report, "biduality-iso", biduality_map(l, m))
+    _vanishing(report, "ext(L,M)-vanishing", ext_dims, "Ext^%d", l, m, bound)
     hom = hom_module(l, m)
-    _ext_vanishing(report, "ext(Hom(L,M),M)-vanishing", hom.module, m, bound)
+    _vanishing(report, "ext(Hom(L,M),M)-vanishing", ext_dims, "Ext^%d",
+               hom.module, m, bound)
     return report
 
 
 def in_bass_class(l, lp, bound=DEFAULT_BOUND):
     """Evaluation iso, Ext^i(L',L) = 0 and Tor_i(L',Hom(L',L)) = 0."""
     report = CheckReport("bass-class", bound)
-    xi = evaluation_map(lp, l)
-    iso, _ = is_isomorphism(xi)
-    report.add("evaluation-iso", iso, _map_witness(xi))
-    _ext_vanishing(report, "ext(L',L)-vanishing", lp, l, bound)
+    _add_iso(report, "evaluation-iso", evaluation_map(lp, l))
+    _vanishing(report, "ext(L',L)-vanishing", ext_dims, "Ext^%d", lp, l,
+               bound)
     hom = hom_module(lp, l)
-    _tor_vanishing(report, "tor(L',Hom(L',L))-vanishing", lp, hom.module,
-                   bound)
+    _vanishing(report, "tor(L',Hom(L',L))-vanishing", tor_dims, "Tor_%d",
+               lp, hom.module, bound)
     return report
 
 
 def in_auslander_class(l, lp, bound=DEFAULT_BOUND):
     """Gamma iso, Tor_i(L',L) = 0 and Ext^i(L',L' (x) L) = 0."""
     report = CheckReport("auslander-class", bound)
-    gamma = gamma_map(lp, l)
-    iso, _ = is_isomorphism(gamma)
-    report.add("gamma-iso", iso, _map_witness(gamma))
-    _tor_vanishing(report, "tor(L',L)-vanishing", lp, l, bound)
+    _add_iso(report, "gamma-iso", gamma_map(lp, l))
+    _vanishing(report, "tor(L',L)-vanishing", tor_dims, "Tor_%d", lp, l,
+               bound)
     tens = tensor_module(lp, l)
-    _ext_vanishing(report, "ext(L',L'(x)L)-vanishing", lp, tens.module,
-                   bound)
+    _vanishing(report, "ext(L',L'(x)L)-vanishing", ext_dims, "Ext^%d", lp,
+               tens.module, bound)
     return report
 
 
@@ -151,23 +140,17 @@ def check_duality_swap(x, bound=DEFAULT_BOUND):
     """Matlis duality swaps the two dualizing predicates; biduality
     certifies involutivity.  VACUOUS when X is neither."""
     report = CheckReport("duality-swap(%s)" % (x.name or "X"), bound)
-    xd = matlis_dual(x)
-    semi = is_semidualizing(x, bound).passed
-    quasi = is_quasidualizing(x, bound).passed
-    if not semi and not quasi:
+    # the two predicates share one body (the artinian collapse), so X and
+    # its dual are each tested once
+    if not is_semidualizing(x, bound).passed:
         report.note("hypothesis", "X is neither semi- nor quasidualizing")
         report.mark_vacuous()
         return report
-    if semi:
-        report.add("semidualizing->dual-quasidualizing",
-                   is_quasidualizing(xd, bound).passed)
-    if quasi:
-        report.add("quasidualizing->dual-semidualizing",
-                   is_semidualizing(xd, bound).passed)
-    e = injective_hull(x.ring)
-    delta = biduality_map(x, e)
-    iso, _ = is_isomorphism(delta)
-    report.add("involutivity-biduality-iso", iso, _map_witness(delta))
+    dual = is_quasidualizing(matlis_dual(x), bound).passed
+    report.add("semidualizing->dual-quasidualizing", dual)
+    report.add("quasidualizing->dual-semidualizing", dual)
+    _add_iso(report, "involutivity-biduality-iso",
+             biduality_map(x, injective_hull(x.ring)))
     return report
 
 
@@ -178,14 +161,21 @@ def _require_quasidualizing(t, bound):
             "bound %d" % (t.name or "T", bound))
 
 
+def _biconditionals(name, bound, pairs):
+    """One condition per (label, lhs, rhs): the two verdicts agree."""
+    report = CheckReport(name, bound)
+    for label, lhs, rhs in pairs:
+        report.add(label, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
+    return report
+
+
 def check_theorem_B(t, m, bound=DEFAULT_BOUND):
     """Four Matlis-duality biconditionals between Bass membership and
     derived reflexivity, all evaluated at one bound."""
     _require_quasidualizing(t, bound)
-    report = CheckReport("duality-equivalences", bound)
     td = matlis_dual(t)
     md = matlis_dual(m)
-    pairs = [
+    return _biconditionals("duality-equivalences", bound, [
         ("B[Tv](M)<=>G[T](Mv)",
          in_bass_class(m, td, bound).passed,
          is_derived_reflexive(md, t, bound).passed),
@@ -198,28 +188,21 @@ def check_theorem_B(t, m, bound=DEFAULT_BOUND):
         ("G[Tv](M)<=>B[T](Mv)",
          is_derived_reflexive(m, td, bound).passed,
          in_bass_class(md, t, bound).passed),
-    ]
-    for label, lhs, rhs in pairs:
-        report.add(label, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
-    return report
+    ])
 
 
 def check_class_equality(t, m, bound=DEFAULT_BOUND):
     """G_{T^v} = A_T and G_T = A_{T^v}, verdictwise on M."""
     _require_quasidualizing(t, bound)
-    report = CheckReport("class-equality", bound)
     td = matlis_dual(t)
-    pairs = [
+    return _biconditionals("class-equality", bound, [
         ("G[Tv](M)<=>A[T](M)",
          is_derived_reflexive(m, td, bound).passed,
          in_auslander_class(m, t, bound).passed),
         ("G[T](M)<=>A[Tv](M)",
          is_derived_reflexive(m, t, bound).passed,
          in_auslander_class(m, td, bound).passed),
-    ]
-    for label, lhs, rhs in pairs:
-        report.add(label, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
-    return report
+    ])
 
 
 def check_two_of_three(t, ses, bound=DEFAULT_BOUND):

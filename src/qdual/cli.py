@@ -52,126 +52,75 @@ def _sample_tag(i):
     return "s%02d" % i
 
 
-def _suite_duality_swap(ring, bound, samples, seed):
+# Suites that run one checker over a grid: suite -> (parameter modules T,
+# builtin subjects as (tag, name), line label, checker).  Samples follow
+# the builtin subjects; checkers are looked up on `classes` at call time.
+_GRID_SUITES = {
+    "duality-swap": ((None,), (("R", "R"), ("E", "E"), ("k", "k")), "X={m}",
+                     lambda t, m, b: classes.check_duality_swap(m, b)),
+    "theorem-b": (("R", "E"), (), "T={t}.{m}",
+                  lambda t, m, b: classes.check_theorem_B(t, m, b)),
+    "class-equality": (("R", "E"), (), "T={t}.{m}",
+                       lambda t, m, b: classes.check_class_equality(t, m, b)),
+    "hom-faithful": (("R", "E"), (("zero", "0"), ("k", "k")), "T={t}.L={m}",
+                     lambda t, m, b: classes.check_hom_faithful(m, t, b)),
+    "tensor-probe": (("R", "E"), (("zero", "0"), ("k", "k")), "T={t}.L={m}",
+                     lambda t, m, b: classes.probe_tensor_faithful(m, t, b)),
+}
+
+
+def _grid_suite(suite, ring, bound, mods):
+    tnames, builtins, label, check = _GRID_SUITES[suite]
+    subjects = [(tag, builtin_module(ring, name)) for tag, name in builtins]
+    subjects += [(_sample_tag(i), m) for i, m in enumerate(mods)]
     lines = []
-    subjects = [("R", regular_module(ring)), ("E", injective_hull(ring)),
-                ("k", builtin_module(ring, "k"))]
-    subjects += [(_sample_tag(i), m)
-                 for i, m in enumerate(sample_modules(ring, samples, seed))]
-    for name, module in subjects:
-        report = classes.check_duality_swap(module, bound)
-        lines += _report_lines("duality-swap", "X=%s" % name, report)
-    return lines
-
-
-def _suite_theorem_b(ring, bound, samples, seed):
-    lines = []
-    mods = sample_modules(ring, samples, seed)
-    for tname in ("R", "E"):
-        t = builtin_module(ring, tname)
-        for i, m in enumerate(mods):
-            report = classes.check_theorem_B(t, m, bound)
-            lines += _report_lines("theorem-b",
-                                   "T=%s.%s" % (tname, _sample_tag(i)),
-                                   report)
-    return lines
-
-
-def _suite_class_equality(ring, bound, samples, seed):
-    lines = []
-    mods = sample_modules(ring, samples, seed)
-    for tname in ("R", "E"):
-        t = builtin_module(ring, tname)
-        for i, m in enumerate(mods):
-            report = classes.check_class_equality(t, m, bound)
-            lines += _report_lines("class-equality",
-                                   "T=%s.%s" % (tname, _sample_tag(i)),
-                                   report)
+    for tname in tnames:
+        t = None if tname is None else builtin_module(ring, tname)
+        for tag, m in subjects:
+            lines += _report_lines(suite, label.format(t=tname, m=tag),
+                                   check(t, m, bound))
     return lines
 
 
 def _suite_two_of_three(ring, bound, samples, seed):
-    lines = []
     t_reg = regular_module(ring)
     t_inj = injective_hull(ring)
-
-    # split sequence 0 -> R -> R^2 -> R -> 0 with T = R
     r2 = free_module(ring, 2)
-    first_copy = np.zeros((r2.dim, ring.dim), dtype=np.int64)
-    first_copy[:ring.dim, :] = np.eye(ring.dim, dtype=np.int64)
-    ses = ses_from_submodule(r2, first_copy)
-    lines += _report_lines(
-        "two-of-three", "T=R.split-free",
-        classes.check_two_of_three(t_reg, ses, bound))
-
-    # 0 -> soc(E) -> E -> E/soc -> 0 with T = E
-    ses = ses_from_submodule(t_inj, socle(t_inj))
-    lines += _report_lines(
-        "two-of-three", "T=E.socle-of-E",
-        classes.check_two_of_three(t_inj, ses, bound))
-
-    for i in range(samples):
-        ses = random_ses(ring, (seed, 7, i))
-        report = classes.check_two_of_three(t_reg, ses, bound)
-        lines += _report_lines("two-of-three",
-                               "T=R.%s" % _sample_tag(i), report)
-    return lines
-
-
-def _suite_hom_faithful(ring, bound, samples, seed):
+    cases = [
+        # split sequence 0 -> R -> R^2 -> R -> 0 with T = R
+        ("R.split-free", t_reg, ses_from_submodule(
+            r2, np.eye(r2.dim, ring.dim, dtype=np.int64))),
+        # 0 -> soc(E) -> E -> E/soc -> 0 with T = E
+        ("E.socle-of-E", t_inj, ses_from_submodule(t_inj, socle(t_inj))),
+    ]
+    cases += [("R." + _sample_tag(i), t_reg, random_ses(ring, (seed, 7, i)))
+              for i in range(samples)]
     lines = []
-    mods = [("zero", builtin_module(ring, "0")),
-            ("k", builtin_module(ring, "k"))]
-    mods += [(_sample_tag(i), m)
-             for i, m in enumerate(sample_modules(ring, samples, seed))]
-    for tname in ("R", "E"):
-        t = builtin_module(ring, tname)
-        for name, m in mods:
-            report = classes.check_hom_faithful(m, t, bound)
-            lines += _report_lines("hom-faithful",
-                                   "T=%s.L=%s" % (tname, name), report)
+    for tag, t, ses in cases:
+        lines += _report_lines("two-of-three", "T=" + tag,
+                               classes.check_two_of_three(t, ses, bound))
     return lines
 
 
-def _suite_tensor_probe(ring, bound, samples, seed):
-    lines = []
-    mods = [("zero", builtin_module(ring, "0")),
-            ("k", builtin_module(ring, "k"))]
-    mods += [(_sample_tag(i), m)
-             for i, m in enumerate(sample_modules(ring, samples, seed))]
-    for tname in ("R", "E"):
-        t = builtin_module(ring, tname)
-        for name, m in mods:
-            report = classes.probe_tensor_faithful(m, t, bound)
-            lines += _report_lines("tensor-probe",
-                                   "T=%s.L=%s" % (tname, name), report)
-    return lines
-
-
-def _suite_artinian_collapse(ring, bound, samples, seed):
+def _suite_artinian_collapse(ring, bound, mods):
     candidates = [regular_module(ring), injective_hull(ring),
                   builtin_module(ring, "k")]
-    candidates += sample_modules(ring, min(samples, 5), seed)
+    candidates += mods[:5]
     report = classes.check_artinian_collapse(ring, candidates, bound)
     return _report_lines("artinian-collapse", ring.name, report)
 
 
-_SUITE_RUNNERS = {
-    "duality-swap": _suite_duality_swap,
-    "theorem-b": _suite_theorem_b,
-    "class-equality": _suite_class_equality,
-    "two-of-three": _suite_two_of_three,
-    "hom-faithful": _suite_hom_faithful,
-    "tensor-probe": _suite_tensor_probe,
-    "artinian-collapse": _suite_artinian_collapse,
-}
-
-
 def run_verify(ring, suites, bound, samples, seed):
     """Returns (report text, exit code)."""
+    mods = sample_modules(ring, samples, seed)
     lines = []
     for suite in suites:
-        lines += _SUITE_RUNNERS[suite](ring, bound, samples, seed)
+        if suite == "two-of-three":
+            lines += _suite_two_of_three(ring, bound, samples, seed)
+        elif suite == "artinian-collapse":
+            lines += _suite_artinian_collapse(ring, bound, mods)
+        else:
+            lines += _grid_suite(suite, ring, bound, mods)
     counts = {"PASS": 0, "FAIL": 0, "VACUOUS": 0}
     for line in lines:
         counts[line.split()[2]] += 1
@@ -197,40 +146,22 @@ def _cmd_dual(args):
     return 0
 
 
-def _cmd_hom(args):
+def _load_pair(args):
     ring = load_ring(args.ring)
-    m = load_module(args.source, ring)
-    n = load_module(args.target, ring)
-    hom = hom_module(m, n)
-    print("dim %d" % hom.module.dim)
-    print(serialize_module(hom.module, name="Hom"), end="")
+    return load_module(args.source, ring), load_module(args.target, ring)
+
+
+def _cmd_hom_or_tensor(args):
+    functor = hom_module if args.command == "hom" else tensor_module
+    module = functor(*_load_pair(args)).module
+    print("dim %d" % module.dim)
+    print(serialize_module(module, name=args.command.capitalize()), end="")
     return 0
 
 
-def _cmd_tensor(args):
-    ring = load_ring(args.ring)
-    m = load_module(args.source, ring)
-    n = load_module(args.target, ring)
-    tens = tensor_module(m, n)
-    print("dim %d" % tens.module.dim)
-    print(serialize_module(tens.module, name="Tensor"), end="")
-    return 0
-
-
-def _cmd_ext(args):
-    ring = load_ring(args.ring)
-    m = load_module(args.source, ring)
-    n = load_module(args.target, ring)
-    table = homology.ext_dims(m, n, args.degree)
-    print("dims " + " ".join(str(d) for d in table.dims))
-    return 0
-
-
-def _cmd_tor(args):
-    ring = load_ring(args.ring)
-    m = load_module(args.source, ring)
-    n = load_module(args.target, ring)
-    table = homology.tor_dims(m, n, args.degree)
+def _cmd_ext_or_tor(args):
+    dims = homology.ext_dims if args.command == "ext" else homology.tor_dims
+    table = dims(*_load_pair(args), args.degree)
     print("dims " + " ".join(str(d) for d in table.dims))
     return 0
 
@@ -246,10 +177,9 @@ def _cmd_resolve(args):
 def _cmd_classify(args):
     ring = load_ring(args.ring)
     module = load_module(args.module, ring)
-    if args.role == "semidualizing":
-        report = classes.is_semidualizing(module, args.bound)
-    else:
-        report = classes.is_quasidualizing(module, args.bound)
+    check = (classes.is_semidualizing if args.role == "semidualizing"
+             else classes.is_quasidualizing)
+    report = check(module, args.bound)
     for line in _report_lines("classify", "%s-as-%s"
                               % (module.name or "M", args.role), report):
         print(line)
@@ -286,20 +216,20 @@ def build_parser():
     p.add_argument("module", help="R, E, k, 0 or a module file")
     p.set_defaults(func=_cmd_dual)
 
-    for name, func in (("hom", _cmd_hom), ("tensor", _cmd_tensor)):
+    for name in ("hom", "tensor"):
         p = sub.add_parser(name, help="%s of two modules" % name)
         ring_arg(p)
         p.add_argument("source")
         p.add_argument("target")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_hom_or_tensor)
 
-    for name, func in (("ext", _cmd_ext), ("tor", _cmd_tor)):
+    for name in ("ext", "tor"):
         p = sub.add_parser(name, help="%s dimensions" % name)
         ring_arg(p)
         p.add_argument("-i", "--degree", type=int, default=4)
         p.add_argument("source")
         p.add_argument("target")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_ext_or_tor)
 
     p = sub.add_parser("resolve", help="minimal free resolution prefix")
     ring_arg(p)
@@ -344,10 +274,7 @@ def main(argv=None):
     except RingValidationError as exc:
         print("invalid ring (%s): %s" % (exc.law, exc), file=sys.stderr)
         return 1
-    except UnknownRing as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UnknownRing, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except QdualError as exc:

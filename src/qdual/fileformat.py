@@ -11,8 +11,9 @@ Ring files:
     mul 0 1 = 0 1
     mul 1 1 = 0 0
 
-`mul i j` is required for every 0 <= i <= j < dim; the symmetric pair is
-auto-filled.  Module files:
+`mul i j` is required once for every 0 <= i <= j < dim; the symmetric
+pair is auto-filled, so a `mul j i` line with j > i is an error.  Module
+files:
 
     [module]
     name = k
@@ -21,7 +22,8 @@ auto-filled.  Module files:
     act 0 = 1
     act 1 = 0
 
-with one `act i` line per ring basis index; rows are separated by `/`.
+with exactly one `act i` line per ring basis index; rows are separated
+by `/`.
 `#` starts a comment; integers are whitespace separated and reduced
 mod p on load.
 """
@@ -57,44 +59,67 @@ def _split_assignment(line, lineno):
     return key.strip(), value.strip()
 
 
-def parse_ring(text):
-    """Parse and fully validate a ring file."""
+def _parse_rows(value, lineno):
+    return [_parse_ints(chunk, lineno)
+            for chunk in value.split("/")] if value else []
+
+
+def _read_section(text, section, fields, usage, parse_value):
+    """(header line, {field: (value, line)}, {indices: (parsed value,
+    line)}) of a one-section file whose indexed lines are keyed as
+    `usage`, e.g. "mul <i> <j>".  A repeated line or decreasing indices
+    are rejected."""
+    word, arity = usage.split()[0], len(usage.split()) - 1
     header = None
-    fields = {}
-    muls = {}
+    values = {}
+    indexed = {}
     for lineno, line in _logical_lines(text):
         if line.startswith("["):
             if header is not None:
                 raise ParseError("duplicate section header", line=lineno)
-            if line != "[ring]":
-                raise ParseError("expected [ring] section, got %r" % line,
-                                 line=lineno)
+            if line != "[%s]" % section:
+                raise ParseError("expected [%s] section, got %r"
+                                 % (section, line), line=lineno)
             header = lineno
             continue
         if header is None:
-            raise ParseError("content before [ring] header", line=lineno)
+            raise ParseError("content before [%s] header" % section,
+                             line=lineno)
         key, value = _split_assignment(line, lineno)
-        if key.startswith("mul"):
+        if key.startswith(word):
             parts = key.split()
-            if len(parts) != 3:
-                raise ParseError("expected 'mul <i> <j> = ...'", line=lineno)
+            if len(parts) != arity + 1:
+                raise ParseError("expected '%s = ...'" % usage, line=lineno)
             try:
-                i, j = int(parts[1]), int(parts[2])
+                idx = tuple(int(part) for part in parts[1:])
             except ValueError:
-                raise ParseError("mul indices must be integers", line=lineno)
-            muls[(i, j)] = (_parse_ints(value, lineno), lineno)
-        elif key in ("name", "p", "dim", "unit"):
-            if key in fields:
+                raise ParseError(
+                    "%s index must be an integer" % word if arity == 1
+                    else "%s indices must be integers" % word, line=lineno)
+            if idx in indexed:
+                raise ParseError("repeated '%s' line" % key, line=lineno)
+            if list(idx) != sorted(idx):
+                raise ParseError("'%s' needs i <= j" % key, line=lineno)
+            indexed[idx] = (parse_value(value, lineno), lineno)
+        elif key in fields:
+            if key in values:
                 raise ParseError("duplicate field %r" % key, line=lineno)
-            fields[key] = (value, lineno)
+            values[key] = (value, lineno)
         else:
             raise ParseError("unknown field %r" % key, line=lineno)
     if header is None:
-        raise ParseError("missing [ring] section", line=1)
-    for required in ("name", "p", "dim", "unit"):
-        if required not in fields:
+        raise ParseError("missing [%s] section" % section, line=1)
+    for required in fields:
+        if required not in values:
             raise ParseError("missing field %r" % required, line=header)
+    return header, values, indexed
 
+
+def parse_ring(text):
+    """Parse and fully validate a ring file."""
+    header, fields, muls = _read_section(
+        text, "ring", ("name", "p", "dim", "unit"), "mul <i> <j>",
+        _parse_ints)
     name = fields["name"][0]
     try:
         p = int(fields["p"][0])
@@ -105,7 +130,8 @@ def parse_ring(text):
     if len(unit) != dim:
         raise ParseError("unit must have %d coordinates" % dim,
                          line=fields["unit"][1])
-    struct = np.zeros((dim, dim, dim), dtype=np.int64)
+    # every line is checked before the dim^3 table is allocated, so
+    # memory stays bounded by the size of the text
     for i in range(dim):
         for j in range(i, dim):
             if (i, j) not in muls:
@@ -115,54 +141,20 @@ def parse_ring(text):
             if len(coords) != dim:
                 raise ParseError("mul %d %d must have %d coordinates"
                                  % (i, j, dim), line=lineno)
-            struct[i, j] = coords
-            struct[j, i] = coords
     for (i, j), (_, lineno) in muls.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError("mul indices out of range", line=lineno)
+    struct = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (i, j), (coords, _) in muls.items():
+        struct[i, j] = coords
+        struct[j, i] = coords
     return validate_ring(name, p, dim, unit, struct)
 
 
 def parse_module(text, ring_table):
     """Parse and validate a module file against the given rings."""
-    header = None
-    fields = {}
-    acts = {}
-    for lineno, line in _logical_lines(text):
-        if line.startswith("["):
-            if header is not None:
-                raise ParseError("duplicate section header", line=lineno)
-            if line != "[module]":
-                raise ParseError("expected [module] section, got %r" % line,
-                                 line=lineno)
-            header = lineno
-            continue
-        if header is None:
-            raise ParseError("content before [module] header", line=lineno)
-        key, value = _split_assignment(line, lineno)
-        if key.startswith("act"):
-            parts = key.split()
-            if len(parts) != 2:
-                raise ParseError("expected 'act <i> = ...'", line=lineno)
-            try:
-                i = int(parts[1])
-            except ValueError:
-                raise ParseError("act index must be an integer", line=lineno)
-            rows = [_parse_ints(chunk, lineno)
-                    for chunk in value.split("/")] if value else []
-            acts[i] = (rows, lineno)
-        elif key in ("name", "ring", "dim"):
-            if key in fields:
-                raise ParseError("duplicate field %r" % key, line=lineno)
-            fields[key] = (value, lineno)
-        else:
-            raise ParseError("unknown field %r" % key, line=lineno)
-    if header is None:
-        raise ParseError("missing [module] section", line=1)
-    for required in ("name", "ring", "dim"):
-        if required not in fields:
-            raise ParseError("missing field %r" % required, line=header)
-
+    header, fields, acts = _read_section(
+        text, "module", ("name", "ring", "dim"), "act <i>", _parse_rows)
     ring_name = fields["ring"][0]
     if ring_name not in ring_table:
         raise UnknownRing("module references unknown ring %r" % ring_name)
@@ -171,20 +163,22 @@ def parse_module(text, ring_table):
         dim = int(fields["dim"][0])
     except ValueError:
         raise ParseError("dim must be an integer", line=fields["dim"][1])
-    action = np.zeros((ring.dim, dim, dim), dtype=np.int64)
+    # every line is checked before the action table is allocated
     for i in range(ring.dim):
-        if i not in acts:
+        if (i,) not in acts:
             raise ParseError("missing 'act %d' line" % i, line=header)
-        rows, lineno = acts[i]
+        rows, lineno = acts[(i,)]
         if dim == 0:
             if any(row for row in rows):
                 raise ParseError("act %d must be empty for dim 0" % i,
                                  line=lineno)
-            continue
-        if len(rows) != dim or any(len(row) != dim for row in rows):
+        elif len(rows) != dim or any(len(row) != dim for row in rows):
             raise ParseError("act %d must be a %dx%d matrix" % (i, dim, dim),
                              line=lineno)
-        action[i] = rows
+    action = np.zeros((ring.dim, dim, dim), dtype=np.int64)
+    if dim:
+        for i in range(ring.dim):
+            action[i] = acts[(i,)][0]
     return Module(ring, dim, action, name=fields["name"][0])
 
 

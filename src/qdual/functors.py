@@ -36,10 +36,6 @@ class HomData:
     basis: np.ndarray
     support: list
 
-    def matrices(self):
-        n = self.module  # noqa: F841  (kept for debuggers)
-        return [self.basis[:, j] for j in range(self.basis.shape[1])]
-
     def coords(self, flat):
         """Coordinates of R-linear maps given as flattened columns."""
         p = self.module.ring.p

@@ -5,11 +5,14 @@ A free module R^b is coordinatized by (copy i, ring coord j) -> i*d + j.
 Differentials are stored as field matrices between those coordinates;
 the ring-coordinate block of column (generator j) recovers the ring
 element acting on copy c as v[c*d:(c+1)*d].
+
+Resolutions are memoized in a plain per-process dict keyed by the
+module; qdual is single-threaded, so the cache takes no lock.  Cached
+arrays are read-only, because every caller shares them.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,26 +58,18 @@ class TorTable:
 
 
 _cache = {}
-_cache_lock = threading.Lock()
 
 
 def clear_resolution_cache():
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
 
 
 def minimal_free_resolution(module, length):
     """Minimal free resolution prefix, memoized per module."""
-    with _cache_lock:
-        res = _cache.get(module.key)
+    res = _cache.get(module.key)
     if res is None or res.length < length:
         res = _compute_resolution(module, length, base=res)
-        with _cache_lock:
-            old = _cache.get(module.key)
-            if old is None or old.length < res.length:
-                _cache[module.key] = res
-            else:
-                res = old
+        _cache[module.key] = res
     return res.truncated(length) if res.length != length else res
 
 
@@ -105,6 +100,7 @@ def _compute_resolution(module, length, base=None):
         for j in range(d):
             aug_cols[:, j::d] = module.action[j] @ gens % p
         augmentation = ModuleMap(free_module(ring, b[0]), module, aug_cols)
+        augmentation.matrix.setflags(write=False)
         diffs = []
         prev = aug_cols
     else:
@@ -136,6 +132,8 @@ def _compute_resolution(module, length, base=None):
         b.append(gens_field.shape[1])
         diffs.append(dmat)
         prev = dmat
+    for dmat in diffs:
+        dmat.setflags(write=False)
     return FreeResolution(module, tuple(b), tuple(diffs), augmentation)
 
 
@@ -149,19 +147,31 @@ def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):
     return w.reshape(prev_rank, d, cur_rank).transpose(0, 2, 1)
 
 
-def _hom_complex_maps(res, n_module, upto):
-    """delta_i: N^{b_i} -> N^{b_i+1}, i = 0..upto-1, for Hom(F_*, N)."""
-    ring = res.module.ring
+def _homology_dims(spaces, ranks):
+    """dim H_i = spaces[i] - ranks[i-1] - ranks[i], where ranks[i] is the
+    rank of the map between degrees i and i+1 and missing ranks are 0."""
+    ranks = [0] + list(ranks) + [0]
+    return [space - ranks[i] - ranks[i + 1]
+            for i, space in enumerate(spaces)]
+
+
+def _induced_dims(m, n, bound, layout):
+    """Homology in degrees 0..bound of Hom(F_*, N) or F_* (x) N, for F_*
+    resolving M; `layout` is the einsum placing the N^{b_i} blocks."""
+    ring = m.ring
     p = ring.p
-    nn = n_module.dim
-    deltas = []
-    for i in range(upto):
-        bprev, bcur = res.betti[i], res.betti[i + 1]
-        blocks = _generator_ring_blocks(res.diffs[i], bprev, bcur, ring)
-        # delta[j*nn:(j+1)*nn, c*nn:(c+1)*nn] = sum_r blocks[c,j,r] A_r
-        delta = np.einsum("cjr,rab->jacb", blocks, n_module.action) % p
-        deltas.append(delta.reshape(bcur * nn, bprev * nn))
-    return deltas
+    res = minimal_free_resolution(m, bound + 1)
+    ranks = []
+    for i in range(bound + 1):
+        blocks = _generator_ring_blocks(res.diffs[i], res.betti[i],
+                                        res.betti[i + 1], ring)
+        mat = np.einsum(layout, blocks, n.action) % p
+        # einsum output is not C-ordered, so the reshape copies; rebinding
+        # frees the 4-D array before the elimination
+        shape = mat.shape
+        mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
+        ranks.append(linalg.rank(mat, p))
+    return _homology_dims([b * n.dim for b in res.betti[:bound + 1]], ranks)
 
 
 def ext_dims(m, n, bound):
@@ -169,42 +179,16 @@ def ext_dims(m, n, bound):
     resolution of M."""
     if m.ring.key != n.ring.key:
         raise RingMismatch("Ext arguments over different rings")
-    p = m.ring.p
-    res = minimal_free_resolution(m, bound + 1)
-    deltas = _hom_complex_maps(res, n, bound + 1)
-    dims = []
-    prev_rank = 0
-    for i in range(bound + 1):
-        space = res.betti[i] * n.dim
-        r = linalg.rank(deltas[i], p)
-        dims.append(space - r - prev_rank)
-        prev_rank = r
-    return ExtTable(tuple(dims))
+    # Hom(F_*, N): block (j, c) of delta_i is sum_r blocks[c, j, r] A_r
+    return ExtTable(tuple(_induced_dims(m, n, bound, "cjr,rab->jacb")))
 
 
 def tor_dims(m, n, bound):
     """dim Tor_i(M, N) for 0 <= i <= bound, via F_* (x) N."""
     if m.ring.key != n.ring.key:
         raise RingMismatch("Tor arguments over different rings")
-    ring = m.ring
-    p = ring.p
-    nn = n.dim
-    res = minimal_free_resolution(m, bound + 1)
-    taus = []                       # tau_i: N^{b_i} -> N^{b_{i-1}}
-    for i in range(bound + 1):
-        bprev, bcur = res.betti[i], res.betti[i + 1]
-        blocks = _generator_ring_blocks(res.diffs[i], bprev, bcur, ring)
-        # tau[c*nn:(c+1)*nn, j*nn:(j+1)*nn] = sum_r blocks[c,j,r] A_r
-        tau = np.einsum("cjr,rab->cajb", blocks, n.action) % p
-        taus.append(tau.reshape(bprev * nn, bcur * nn))
-    ranks = [linalg.rank(t, p) for t in taus]
-    # H_i = ker(tau_i) - im(tau_{i+1}); tau_0 is the zero map out of N^{b_0}
-    dims = []
-    for i in range(bound + 1):
-        kernel_dim = res.betti[i] * nn - ranks[i - 1] if i else \
-            res.betti[0] * nn
-        dims.append(kernel_dim - ranks[i])
-    return TorTable(tuple(dims))
+    # F_* (x) N: block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
+    return TorTable(tuple(_induced_dims(m, n, bound, "cjr,rab->cajb")))
 
 
 def ext_dims_via_injective(m, n, bound):
@@ -221,21 +205,16 @@ def ext_dims_via_injective(m, n, bound):
     p = ring.p
     res = minimal_free_resolution(matlis_dual(n), bound + 1)
     nm = m.dim
-    maps = []                      # (M^dual)^{c_i} -> (M^dual)^{c_{i+1}}
+    ranks = []                     # of (M^dual)^{c_i} -> (M^dual)^{c_{i+1}}
     for i in range(bound + 1):
         cprev, ccur = res.betti[i], res.betti[i + 1]
         blocks = _generator_ring_blocks(res.diffs[i], cprev, ccur, ring)
         # block (s, t) is the transpose of sum_r blocks[t,s,r] A_r
         mat = np.einsum("tsr,rba->satb", blocks, m.action) % p
-        maps.append(mat.reshape(ccur * nm, cprev * nm))
-    dims = []
-    prev_rank = 0
-    for i in range(bound + 1):
-        space = res.betti[i] * nm
-        r = linalg.rank(maps[i], p)
-        dims.append(space - r - prev_rank)
-        prev_rank = r
-    return ExtTable(tuple(dims))
+        mat = mat.reshape(ccur * nm, cprev * nm)
+        ranks.append(linalg.rank(mat, p))
+    return ExtTable(tuple(_homology_dims(
+        [c * nm for c in res.betti[:bound + 1]], ranks)))
 
 
 def injective_resolution(module, length):
@@ -268,9 +247,5 @@ def complex_homology(diffs, p):
                               % (i + 1, i + 2), index=i)
         if np.any(diffs[i] @ diffs[i + 1] % p):
             raise NotAComplex("d%d . d%d != 0" % (i + 1, i + 2), index=i)
-    ranks = [linalg.rank(d, p) for d in diffs]
-    dims = [diffs[0].shape[0] - ranks[0]]
-    for i in range(1, len(diffs)):
-        dims.append(diffs[i - 1].shape[1] - ranks[i - 1] - ranks[i])
-    dims.append(diffs[-1].shape[1] - ranks[-1])
-    return dims
+    spaces = [diffs[0].shape[0]] + [d.shape[1] for d in diffs]
+    return _homology_dims(spaces, [linalg.rank(d, p) for d in diffs])

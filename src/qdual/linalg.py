@@ -36,18 +36,16 @@ def inv_mod(x, p):
     return pow(int(x) % p, p - 2, p)
 
 
-def rref(a, p, limit=None):
+def rref(a, p):
     """Reduced row echelon form of `a` mod p.
 
-    Returns (R, rank, pivots).  `limit` restricts pivot search to the
-    first `limit` columns (used for solving with an augmented block).
+    Returns (R, rank, pivots).
     """
     r = np.array(a, dtype=np.int64) % p
     rows, cols = r.shape
-    stop = cols if limit is None else limit
     pivots = []
     row = 0
-    for col in range(stop):
+    for col in range(cols):
         if row == rows:
             break
         nz = np.flatnonzero(r[row:, col])
@@ -93,34 +91,6 @@ def kernel_with_support(a, p):
         for i, pc in enumerate(pivots):
             k[pc, j] = (-r[i, f]) % p
     return k, free
-
-
-def solve(a, b, p):
-    """One solution of A x = b, or None if the system is inconsistent."""
-    x = solve_matrix(a, np.asarray(b, dtype=np.int64).reshape(-1, 1), p)
-    return None if x is None else x[:, 0]
-
-
-def solve_matrix(a, b, p):
-    """Solve A X = B columnwise; None if any column is inconsistent."""
-    a = as_fp(a, p)
-    b = as_fp(b, p)
-    rows, cols = a.shape
-    if b.ndim == 1:
-        b = b.reshape(rows, 1)
-    aug = np.concatenate([a, b], axis=1)
-    r, rk, pivots = rref(aug, p, limit=cols)
-    if np.any(r[rk:, cols:]):
-        return None
-    x = zeros(cols, b.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols:]
-    return x
-
-
-def kronecker(a, b, p):
-    """Tensor of linear maps; basis ordering (i, k) -> i * dim2 + k."""
-    return np.kron(as_fp(a, p), as_fp(b, p)) % p
 
 
 def mat_pow(a, n, p):

@@ -47,24 +47,6 @@ class Ring:
         self.key = (p, dim, unit.tobytes(), struct.tobytes())
         self._regular = None
 
-    def act(self, x):
-        """Multiplication matrix of the element with coordinates x."""
-        return np.tensordot(np.asarray(x, dtype=np.int64) % self.p,
-                            self.mult, axes=(0, 0)) % self.p
-
-    def multiply(self, x, y):
-        return self.act(x) @ (np.asarray(y, dtype=np.int64) % self.p) % self.p
-
-    def power(self, x, n):
-        result = self.unit.copy()
-        base = np.asarray(x, dtype=np.int64) % self.p
-        while n:
-            if n & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            n >>= 1
-        return result
-
     def __repr__(self):
         return "Ring(%s: F_%d, dim %d)" % (self.name, self.p, self.dim)
 
@@ -111,7 +93,11 @@ def validate_ring(name, p, dim, unit, struct):
                     "(e%d*e%d)*e%d != e%d*(e%d*e%d)" % (i, j, k, i, j, k),
                     witness=(i, j, k))
 
-    radical, radical_pivots = _nilradical(p, dim, unit, mult)
+    # x -> x^p is linear because the base field is prime; column i of
+    # its matrix is e_i^p
+    frob = np.stack([linalg.mat_pow(m, p, p) @ unit % p for m in mult],
+                    axis=1)
+    radical, radical_pivots = _nilradical(p, dim, frob)
 
     # N must be an ideal (automatic for a commutative algebra; checked
     # anyway as a guard against inconsistent presentations).
@@ -122,61 +108,29 @@ def validate_ring(name, p, dim, unit, struct):
                 raise NotAssociative(
                     "nilradical is not closed under e%d" % i, witness=(i,))
 
-    residue_degree = _check_local(p, dim, unit, mult, radical, radical_pivots)
+    residue_degree = _check_local(p, dim, frob, radical, radical_pivots)
     return Ring(name, p, dim, unit, struct, mult, radical, radical_pivots,
                 residue_degree)
 
 
-def _frobenius_matrix(p, dim, ring_power):
-    """Matrix of x -> x^p, linear because the base field is prime."""
-    cols = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=np.int64)
-        e[i] = 1
-        cols.append(ring_power(e, p))
-    return np.stack(cols, axis=1)
-
-
-def _nilradical(p, dim, unit, mult):
-    def power(x, n):
-        result = unit.copy()
-        base = np.asarray(x, dtype=np.int64) % p
-        while n:
-            if n & 1:
-                result = np.tensordot(result, mult, axes=(0, 0)) @ base % p
-            base = np.tensordot(base, mult, axes=(0, 0)) @ base % p
-            n >>= 1
-        return result
-
-    frob = _frobenius_matrix(p, dim, power)
+def _nilradical(p, dim, frob):
+    """Kernel of a Frobenius power high enough to kill every nilpotent."""
     m = 0
     pm = 1
     while pm < dim:
         pm *= p
         m += 1
-    fm = linalg.mat_pow(frob, m, p) if m else linalg.identity(dim)
-    kern = linalg.kernel_basis(fm, p)
+    kern = linalg.kernel_basis(linalg.mat_pow(frob, m, p), p)
     return linalg.canon_basis(kern, p)
 
 
-def _check_local(p, dim, unit, mult, radical, radical_pivots):
+def _check_local(p, dim, frob, radical, radical_pivots):
     """Local iff the Frobenius-fixed subspace of R/N is one-dimensional
     (one simple factor of the semisimple quotient)."""
     proj, sect, _ = linalg.complement(radical, radical_pivots, dim, p)
     q = proj.shape[0]
-
-    def qpower(x, n):
-        # power computed inside R, then projected
-        result = unit.copy()
-        base = sect @ (np.asarray(x, dtype=np.int64) % p) % p
-        while n:
-            if n & 1:
-                result = np.tensordot(result, mult, axes=(0, 0)) @ base % p
-            base = np.tensordot(base, mult, axes=(0, 0)) @ base % p
-            n >>= 1
-        return proj @ result % p
-
-    frob_q = np.stack([qpower(row, p) for row in linalg.identity(q)], axis=1)
+    # R -> R/N is a ring map, so Frobenius on R/N is the projected one
+    frob_q = proj @ (frob @ sect % p) % p
     fixed = linalg.kernel_basis((frob_q - linalg.identity(q)) % p, p)
     factors = fixed.shape[1]
     if factors != 1:
@@ -184,17 +138,3 @@ def _check_local(p, dim, unit, mult, radical, radical_pivots):
             "semisimple quotient has %d simple factors" % factors,
             witness=factors)
     return q
-
-
-def jacobson_radical(ring):
-    """Canonical basis of the maximal ideal (= nilradical)."""
-    return ring.radical
-
-
-def is_local(ring):
-    """(True, residue degree) for a validated ring.
-
-    Validation already rejects non-local presentations, so this is a
-    read-out; the Frobenius computation happened at load time.
-    """
-    return True, ring.residue_degree

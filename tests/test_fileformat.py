@@ -2,8 +2,8 @@
 
 import pytest
 
-from qdual import (builtin_module, corpus_ring, parse_module, parse_ring,
-                   serialize_module, serialize_ring)
+from qdual import (builtin_module, cli, corpus_ring, parse_module,
+                   parse_ring, serialize_module, serialize_ring)
 from qdual.corpus import corpus_source
 from qdual.errors import (ModuleValidationError, NotPrime, ParseError,
                           UnknownRing)
@@ -81,3 +81,45 @@ def test_zero_module_file():
     text = "[module]\nname = z\nring = r3\ndim = 0\nact 0 =\nact 1 =\n"
     mod = parse_module(text, {"r3": ring})
     assert mod.dim == 0
+
+
+def _appended(text, line):
+    """text plus one line, and that line's number."""
+    text = text.rstrip("\n") + "\n"
+    return text + line + "\n", len(text.splitlines()) + 1
+
+
+@pytest.mark.parametrize("line", [
+    "mul 1 1 = 1 1",    # a second x^2 = 1 + x would make r3 the field F_4
+    "mul 1 0 = 1 0",    # contradicts 'mul 0 1', so the table is not symmetric
+])
+def test_repeated_or_transposed_mul_line_rejected(tmp_path, capsys, line):
+    text, lineno = _appended(corpus_source("r3"), line)
+    with pytest.raises(ParseError) as info:
+        parse_ring(text)
+    assert info.value.line == lineno
+    path = tmp_path / "ring.txt"
+    path.write_text(text)
+    assert cli.main(["check-ring", str(path)]) == 2
+    assert "line %d:" % lineno in capsys.readouterr().err
+
+
+def test_repeated_act_line_rejected():
+    ring = corpus_ring("r3")
+    text, lineno = _appended(
+        "[module]\nname = z\nring = r3\ndim = 0\nact 0 =\nact 1 =\n",
+        "act 1 =")
+    with pytest.raises(ParseError) as info:
+        parse_module(text, {"r3": ring})
+    assert info.value.line == lineno
+
+
+def test_huge_dim_rejected_before_allocating(tmp_path):
+    # a dim^3 table would need 2^66 bytes; the missing 'mul 0 1' line is
+    # reported first
+    dim = 1 << 21
+    zeros = " 0" * (dim - 1)
+    path = tmp_path / "huge.txt"
+    path.write_text("[ring]\nname = huge\np = 2\ndim = %d\nunit = 1%s\n"
+                    "mul 0 0 = 1%s\n" % (dim, zeros, zeros))
+    assert cli.main(["check-ring", str(path)]) == 2

@@ -161,3 +161,13 @@ def test_resolution_cache_returns_consistent_prefixes():
     assert short.betti == long.betti[:3]
     for a, b in zip(short.diffs, long.diffs):
         assert np.array_equal(a, b)
+
+
+def test_cached_resolution_arrays_are_read_only():
+    k = builtin_module(RINGS["r5"], "k")
+    minimal_free_resolution(k, 2)
+    longer = minimal_free_resolution(k, 4)     # continues the cached one
+    for res in (minimal_free_resolution(k, 2), longer):
+        for matrix in res.diffs + (res.augmentation.matrix,):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = matrix[0, 0]

@@ -33,26 +33,6 @@ def test_inv_mod():
             assert x * linalg.inv_mod(x, p) % p == 1
 
 
-def test_solve_consistent_and_inconsistent():
-    a = np.array([[1, 1], [0, 1], [1, 0]], dtype=np.int64)
-    x = np.array([2, 1], dtype=np.int64)
-    b = a @ x % 3
-    got = linalg.solve(a, b, 3)
-    assert np.array_equal(a @ got % 3, b)
-    bad = np.array([1, 0, 0], dtype=np.int64)
-    assert linalg.solve(a, bad, 3) is None
-
-
-def test_solve_matrix_pivot_does_not_leak_into_rhs():
-    # A is singular; a naive augmented rref would pivot inside B
-    a = np.zeros((2, 2), dtype=np.int64)
-    b = np.array([[1], [0]], dtype=np.int64)
-    assert linalg.solve_matrix(a, b, 2) is None
-    b0 = np.zeros((2, 1), dtype=np.int64)
-    x = linalg.solve_matrix(a, b0, 2)
-    assert np.array_equal(x, np.zeros((2, 1), dtype=np.int64))
-
-
 def test_canon_basis_is_generating_set_independent():
     p = 3
     base = np.array([[1, 0], [0, 1], [1, 2]], dtype=np.int64)
@@ -103,30 +83,6 @@ def test_rank_nullity(mp):
     assert linalg.rank(a, p) + k.shape[1] == a.shape[1]
     if k.size:
         assert not np.any(a @ k % p)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices(max_side=4), matrices(max_side=4))
-def test_kron_rank_multiplicative(mp1, mp2):
-    a, p = mp1
-    b, q = mp2
-    if p != q:
-        b = b % p
-    k = linalg.kronecker(a, b, p)
-    assert linalg.rank(k, p) == linalg.rank(a, p) * linalg.rank(b % p, p)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices(max_side=4), st.data())
-def test_solve_recovers_solutions(mp, data):
-    a, p = mp
-    n = a.shape[1]
-    x = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n,
-                                    max_size=n)), dtype=np.int64)
-    b = a @ x % p if n else np.zeros(a.shape[0], dtype=np.int64)
-    got = linalg.solve(a, b, p)
-    assert got is not None
-    assert np.array_equal(a @ got % p, b)
 
 
 # Differential test: the elimination as first written, kept verbatim as
@@ -192,8 +148,7 @@ def elimination_inputs(draw, max_side=7):
         a = np.concatenate([a, np.array(extra, dtype=np.int64)
                             .reshape(len(extra), cols)])
         a = a[draw(st.permutations(range(a.shape[0])))]
-    limit = draw(st.none() | st.integers(0, cols))
-    return a, p, limit
+    return a, p
 
 
 def _assert_same_rref(got, want):
@@ -207,18 +162,15 @@ def test_rref_matches_reference_on_edge_shapes():
     for p in DIFF_PRIMES:
         for shape in ((0, 0), (0, 4), (4, 0), (1, 1), (3, 3)):
             a = np.ones(shape, dtype=np.int64) * (p - 1)
-            for limit in (None, 0, shape[1]):
-                _assert_same_rref(linalg.rref(a, p, limit),
-                                  reference_rref(a, p, limit))
+            _assert_same_rref(linalg.rref(a, p), reference_rref(a, p))
 
 
 @settings(max_examples=300, deadline=None)
 @given(elimination_inputs())
 def test_elimination_matches_reference(inp):
-    a, p, limit = inp
+    a, p = inp
     want = reference_rref(a, p)
     _assert_same_rref(linalg.rref(a, p), want)
-    _assert_same_rref(linalg.rref(a, p, limit), reference_rref(a, p, limit))
     assert linalg.rank(a, p) == want[1]
 
     k, free = linalg.kernel_with_support(a, p)

@@ -170,9 +170,9 @@ def _rebased(module, seed):
     rng = np.random.default_rng(seed)
     while True:
         g = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        r, rk, _ = linalg.rref(np.concatenate([g, linalg.identity(n)],
-                                              axis=1), p, limit=n)
-        if rk == n:
+        r, _, pivots = linalg.rref(np.concatenate([g, linalg.identity(n)],
+                                                  axis=1), p)
+        if pivots == list(range(n)):
             break
     g_inv = r[:, n:]
     return Module(module.ring, n, g_inv @ module.action @ g % p)

@@ -107,3 +107,49 @@ def test_multiplication_matrices_match_struct():
             e_j = np.zeros(r.dim, dtype=np.int64)
             e_j[j] = 1
             assert np.array_equal(r.mult[i] @ e_j % r.p, r.struct[i, j])
+
+
+# p = 65521, the largest prime below the supported bound: the Frobenius
+# matrices are built from products of entries near 2^16
+
+BIG_P = 65521
+
+
+def _struct(dim, products):
+    """Structure constants for the basis e_0 = 1, e_1, ..., e_{dim-1};
+    products[(i, j)] holds e_i e_j for 1 <= i <= j, missing ones are 0."""
+    struct = np.zeros((dim, dim, dim), dtype=np.int64)
+    for j in range(dim):
+        struct[0, j, j] = struct[j, 0, j] = 1
+    for (i, j), coords in products.items():
+        struct[i, j] = struct[j, i] = coords
+    return struct
+
+
+def test_truncated_polynomial_at_large_prime():
+    # F_p[x]/(x^3) with basis 1, x, x^2
+    r = validate_ring("t3", BIG_P, 3, [1, 0, 0],
+                      _struct(3, {(1, 1): [0, 0, 1]}))
+    assert r.radical.shape[1] == 2
+    assert r.residue_degree == 1
+
+
+def test_split_product_at_large_prime_not_local():
+    # F_p x F_p with basis 1 = (1, 1) and the idempotent (1, 0)
+    with pytest.raises(NotLocal) as info:
+        validate_ring("split", BIG_P, 2, [1, 0],
+                      _struct(2, {(1, 1): [0, 1]}))
+    assert info.value.witness == 2
+
+
+def test_residue_extension_at_large_prime():
+    # F_{p^2}[x]/(x^2) with basis 1, a, x, ax and a^2 = n for the least
+    # non-residue n, so F_p(a) = F_{p^2}
+    n = next(n for n in range(2, BIG_P)
+             if pow(n, (BIG_P - 1) // 2, BIG_P) == BIG_P - 1)
+    r = validate_ring("f2x", BIG_P, 4, [1, 0, 0, 0],
+                      _struct(4, {(1, 1): [n, 0, 0, 0],
+                                  (1, 2): [0, 0, 0, 1],
+                                  (1, 3): [0, 0, n, 0]}))
+    assert r.residue_degree == 2
+    assert r.radical.shape[1] == 2
