@@ -5,18 +5,31 @@ Unbounded Ext/Tor vanishing is replaced by vanishing in degrees
 1..B; every theorem checker compares both sides of an equivalence at
 the same bound, so the bounded biconditionals are exact.  Reports carry
 one (label, verdict, witness) triple per condition.
+
+Vanishing is checked one degree at a time (`homology.ext_degrees`,
+`tor_degrees`), so each degree is ranked once and the first nonzero
+degree ends the check.  Inside `verdict_memo`, which `cli.run_verify`
+enters for the length of one call, the four predicate bodies
+(`_dualizing`, `is_derived_reflexive`, `in_bass_class`,
+`in_auslander_class`) are computed once per (predicate, module key
+bytes, bound); outside it every call computes afresh.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import inspect
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
-from .homology import ext_dims, tor_dims
-from .module import regular_module
+from .homology import ext_degrees, tor_degrees
+from .module import Module, regular_module
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -65,26 +78,71 @@ def _add_iso(report, label, f):
         diag["injective"], diag["surjective"]))
 
 
-def _vanishing(report, label, dims, name, m, n, bound):
-    """One condition: degrees 1..B of dims(M, N) vanish; `name` formats
-    the failing degree, as "Ext^%d"."""
-    # degree by degree so a failure in low degree skips the expensive
-    # tail of the resolution
-    for i in range(1, bound + 1):
-        d = dims(m, n, i).dims[i]
+def _vanishing(report, label, degrees, name, m, n, bound):
+    """One condition: degrees 1..B of degrees(M, N) vanish; `name`
+    formats the failing degree, as "Ext^%d"."""
+    # each degree is ranked once, and a failure in low degree skips the
+    # expensive tail of the resolution
+    for i, d in enumerate(itertools.islice(degrees(m, n), 1, bound + 1),
+                          start=1):
         if d:
             report.add(label, False, "%s has dim %d" % (name % i, d))
             return
     report.add(label, True, "")
 
 
+# verdict memo of the current run_verify call, None outside one
+_memo = contextvars.ContextVar("qdual_verdict_memo", default=None)
+
+
+@contextmanager
+def verdict_memo():
+    """Memoize predicate verdicts until the block is left, returning or
+    raising; outside such a block every call computes afresh."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _memoized(body):
+    """Wrap a predicate so that, inside `verdict_memo`, each (predicate,
+    arguments) is computed once.  Modules enter the key as their exact
+    key bytes, and the bound is an argument.  The memo holds immutable
+    (name, conditions) pairs; every hit builds a fresh CheckReport,
+    since reports are mutable (mark_vacuous)."""
+    signature = inspect.signature(body)
+
+    @functools.wraps(body)
+    def predicate(*args, **kwargs):
+        memo = _memo.get()
+        if memo is None:
+            return body(*args, **kwargs)
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        key = (body,) + tuple(a.key if isinstance(a, Module) else a
+                              for a in call.args)
+        verdict = memo.get(key)
+        if verdict is None:
+            report = body(*call.args)
+            memo[key] = (report.name, tuple(report.conditions))
+            return report
+        name, conditions = verdict
+        return CheckReport(name, call.arguments["bound"], list(conditions))
+
+    return predicate
+
+
+@_memoized
 def _dualizing(name, finiteness, c, bound):
     """The conditions both dualizing predicates share; `finiteness` is
     the automatic finiteness hypothesis the report notes."""
     report = CheckReport(name, bound)
     report.note(finiteness, "automatic: finite length")
     _add_iso(report, "homothety-iso", homothety_map(c))
-    _vanishing(report, "self-ext-vanishing", ext_dims, "Ext^%d", c, c, bound)
+    _vanishing(report, "self-ext-vanishing", ext_degrees, "Ext^%d", c, c,
+               bound)
     return report
 
 
@@ -101,37 +159,41 @@ def is_quasidualizing(t, bound=DEFAULT_BOUND):
                       t, bound)
 
 
+@_memoized
 def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
     """Biduality into Hom(Hom(L,M),M) iso and two Ext vanishings."""
     report = CheckReport("derived-reflexive", bound)
     _add_iso(report, "biduality-iso", biduality_map(l, m))
-    _vanishing(report, "ext(L,M)-vanishing", ext_dims, "Ext^%d", l, m, bound)
+    _vanishing(report, "ext(L,M)-vanishing", ext_degrees, "Ext^%d", l, m,
+               bound)
     hom = hom_module(l, m)
-    _vanishing(report, "ext(Hom(L,M),M)-vanishing", ext_dims, "Ext^%d",
+    _vanishing(report, "ext(Hom(L,M),M)-vanishing", ext_degrees, "Ext^%d",
                hom.module, m, bound)
     return report
 
 
+@_memoized
 def in_bass_class(l, lp, bound=DEFAULT_BOUND):
     """Evaluation iso, Ext^i(L',L) = 0 and Tor_i(L',Hom(L',L)) = 0."""
     report = CheckReport("bass-class", bound)
     _add_iso(report, "evaluation-iso", evaluation_map(lp, l))
-    _vanishing(report, "ext(L',L)-vanishing", ext_dims, "Ext^%d", lp, l,
+    _vanishing(report, "ext(L',L)-vanishing", ext_degrees, "Ext^%d", lp, l,
                bound)
     hom = hom_module(lp, l)
-    _vanishing(report, "tor(L',Hom(L',L))-vanishing", tor_dims, "Tor_%d",
+    _vanishing(report, "tor(L',Hom(L',L))-vanishing", tor_degrees, "Tor_%d",
                lp, hom.module, bound)
     return report
 
 
+@_memoized
 def in_auslander_class(l, lp, bound=DEFAULT_BOUND):
     """Gamma iso, Tor_i(L',L) = 0 and Ext^i(L',L' (x) L) = 0."""
     report = CheckReport("auslander-class", bound)
     _add_iso(report, "gamma-iso", gamma_map(lp, l))
-    _vanishing(report, "tor(L',L)-vanishing", tor_dims, "Tor_%d", lp, l,
+    _vanishing(report, "tor(L',L)-vanishing", tor_degrees, "Tor_%d", lp, l,
                bound)
     tens = tensor_module(lp, l)
-    _vanishing(report, "ext(L',L'(x)L)-vanishing", ext_dims, "Ext^%d", lp,
+    _vanishing(report, "ext(L',L'(x)L)-vanishing", ext_degrees, "Ext^%d", lp,
                tens.module, bound)
     return report
 

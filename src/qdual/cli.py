@@ -111,16 +111,18 @@ def _suite_artinian_collapse(ring, bound, mods):
 
 
 def run_verify(ring, suites, bound, samples, seed):
-    """Returns (report text, exit code)."""
+    """Returns (report text, exit code).  Each predicate verdict is
+    computed once per call; the memo is dropped when the call ends."""
     mods = sample_modules(ring, samples, seed)
     lines = []
-    for suite in suites:
-        if suite == "two-of-three":
-            lines += _suite_two_of_three(ring, bound, samples, seed)
-        elif suite == "artinian-collapse":
-            lines += _suite_artinian_collapse(ring, bound, mods)
-        else:
-            lines += _grid_suite(suite, ring, bound, mods)
+    with classes.verdict_memo():
+        for suite in suites:
+            if suite == "two-of-three":
+                lines += _suite_two_of_three(ring, bound, samples, seed)
+            elif suite == "artinian-collapse":
+                lines += _suite_artinian_collapse(ring, bound, mods)
+            else:
+                lines += _grid_suite(suite, ring, bound, mods)
     counts = {"PASS": 0, "FAIL": 0, "VACUOUS": 0}
     for line in lines:
         counts[line.split()[2]] += 1

@@ -83,7 +83,9 @@ def hom_module(m, n):
     h = basis.shape[1]
     action = np.zeros((ring.dim, h, h), dtype=np.int64)
     for i in range(ring.dim):
-        image = np.kron(n.action[i], eye_m) @ basis % p
+        # B_i X for every basis column X, read as an nn x nm matrix
+        image = (n.action[i] @ basis.reshape(nn, nm * h) % p).reshape(
+            nn * nm, h)
         action[i] = image[support, :] if support else linalg.zeros(0, h)
     module = Module(ring, h, action, check=False)
     return HomData(module, basis, support)
@@ -97,13 +99,10 @@ def tensor_module(m, n):
     nm, nn = m.dim, n.dim
     eye_m = linalg.identity(nm)
     eye_n = linalg.identity(nn)
-    full_action = np.stack([np.kron(m.action[i], eye_n) % p
-                            for i in range(ring.dim)])
-    full = Module(ring, nm * nn, full_action, check=False)
-    rels = [
-        (np.kron(m.action[i], eye_n) - np.kron(eye_m, n.action[i])) % p
-        for i in range(ring.dim)
-    ]
+    left = [np.kron(m.action[i], eye_n) for i in range(ring.dim)]
+    full = Module(ring, nm * nn, np.stack(left) % p, check=False)
+    rels = [(a - np.kron(eye_m, n.action[i])) % p
+            for i, a in enumerate(left)]
     relcols = np.concatenate(rels, axis=1) if rels else \
         linalg.zeros(nm * nn, 0)
     quot, projmap, sect = quotient_module(full, relcols)

@@ -7,12 +7,17 @@ the ring-coordinate block of column (generator j) recovers the ring
 element acting on copy c as v[c*d:(c+1)*d].
 
 Resolutions are memoized in a plain per-process dict keyed by the
-module; qdual is single-threaded, so the cache takes no lock.  Cached
-arrays are read-only, because every caller shares them.
+module, until `clear_resolution_cache`; qdual is single-threaded, so
+the cache takes no lock.  Cached arrays are read-only, because every
+caller shares them.  Ext and Tor come from one loop that yields one
+degree at a time and extends the cached resolution only as far as the
+degrees asked for; `ext_dims`/`tor_dims` take its first bound+1
+values.  Nothing else is cached here.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +53,8 @@ class FreeResolution:
 
 
 @dataclass(frozen=True)
-class ExtTable:
-    dims: tuple
-
-
-@dataclass(frozen=True)
-class TorTable:
+class DimTable:
+    """dims[i] is dim Ext^i or dim Tor_i, for 0 <= i <= bound."""
     dims: tuple
 
 
@@ -147,22 +148,25 @@ def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):
     return w.reshape(prev_rank, d, cur_rank).transpose(0, 2, 1)
 
 
-def _homology_dims(spaces, ranks):
-    """dim H_i = spaces[i] - ranks[i-1] - ranks[i], where ranks[i] is the
-    rank of the map between degrees i and i+1 and missing ranks are 0."""
-    ranks = [0] + list(ranks) + [0]
-    return [space - ranks[i] - ranks[i + 1]
-            for i, space in enumerate(spaces)]
+def _homology_dims(pairs):
+    """Yield dim H_i = space_i - rank_{i-1} - rank_i from (space_i,
+    rank_i) pairs, where rank_i is the rank of the map between degrees
+    i and i+1; pairs are consumed only as far as the dims are."""
+    before = 0
+    for space, rank in pairs:
+        yield space - before - rank
+        before = rank
 
 
-def _induced_dims(m, n, bound, layout):
-    """Homology in degrees 0..bound of Hom(F_*, N) or F_* (x) N, for F_*
-    resolving M; `layout` is the einsum placing the N^{b_i} blocks."""
+def _induced_ranks(m, n, layout):
+    """Yield (dim C_i, rank of C_i <-> C_{i+1}) for i = 0, 1, 2, ..., where
+    C_* is Hom(F_*, N) or F_* (x) N for F_* resolving M; `layout` is the
+    einsum placing the N^{b_i} blocks.  Degree i extends the cached
+    resolution of M to length i+1 only when it is asked for."""
     ring = m.ring
     p = ring.p
-    res = minimal_free_resolution(m, bound + 1)
-    ranks = []
-    for i in range(bound + 1):
+    for i in itertools.count():
+        res = minimal_free_resolution(m, i + 1)
         blocks = _generator_ring_blocks(res.diffs[i], res.betti[i],
                                         res.betti[i + 1], ring)
         mat = np.einsum(layout, blocks, n.action) % p
@@ -170,25 +174,36 @@ def _induced_dims(m, n, bound, layout):
         # frees the 4-D array before the elimination
         shape = mat.shape
         mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
-        ranks.append(linalg.rank(mat, p))
-    return _homology_dims([b * n.dim for b in res.betti[:bound + 1]], ranks)
+        yield res.betti[i] * n.dim, linalg.rank(mat, p)
+
+
+def ext_degrees(m, n):
+    """dim Ext^i(M, N) for i = 0, 1, 2, ..., one degree at a time, via a
+    minimal free resolution of M."""
+    if m.ring.key != n.ring.key:
+        raise RingMismatch("Ext arguments over different rings")
+    # Hom(F_*, N): block (j, c) of delta_i is sum_r blocks[c, j, r] A_r
+    return _homology_dims(_induced_ranks(m, n, "cjr,rab->jacb"))
+
+
+def tor_degrees(m, n):
+    """dim Tor_i(M, N) for i = 0, 1, 2, ..., one degree at a time, via
+    F_* (x) N."""
+    if m.ring.key != n.ring.key:
+        raise RingMismatch("Tor arguments over different rings")
+    # F_* (x) N: block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
+    return _homology_dims(_induced_ranks(m, n, "cjr,rab->cajb"))
 
 
 def ext_dims(m, n, bound):
     """dim Ext^i(M, N) for 0 <= i <= bound, via a minimal free
     resolution of M."""
-    if m.ring.key != n.ring.key:
-        raise RingMismatch("Ext arguments over different rings")
-    # Hom(F_*, N): block (j, c) of delta_i is sum_r blocks[c, j, r] A_r
-    return ExtTable(tuple(_induced_dims(m, n, bound, "cjr,rab->jacb")))
+    return DimTable(tuple(itertools.islice(ext_degrees(m, n), bound + 1)))
 
 
 def tor_dims(m, n, bound):
     """dim Tor_i(M, N) for 0 <= i <= bound, via F_* (x) N."""
-    if m.ring.key != n.ring.key:
-        raise RingMismatch("Tor arguments over different rings")
-    # F_* (x) N: block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
-    return TorTable(tuple(_induced_dims(m, n, bound, "cjr,rab->cajb")))
+    return DimTable(tuple(itertools.islice(tor_degrees(m, n), bound + 1)))
 
 
 def ext_dims_via_injective(m, n, bound):
@@ -213,8 +228,8 @@ def ext_dims_via_injective(m, n, bound):
         mat = np.einsum("tsr,rba->satb", blocks, m.action) % p
         mat = mat.reshape(ccur * nm, cprev * nm)
         ranks.append(linalg.rank(mat, p))
-    return ExtTable(tuple(_homology_dims(
-        [c * nm for c in res.betti[:bound + 1]], ranks)))
+    return DimTable(tuple(_homology_dims(
+        zip([c * nm for c in res.betti[:bound + 1]], ranks))))
 
 
 def injective_resolution(module, length):
@@ -248,4 +263,5 @@ def complex_homology(diffs, p):
         if np.any(diffs[i] @ diffs[i + 1] % p):
             raise NotAComplex("d%d . d%d != 0" % (i + 1, i + 2), index=i)
     spaces = [diffs[0].shape[0]] + [d.shape[1] for d in diffs]
-    return _homology_dims(spaces, [linalg.rank(d, p) for d in diffs])
+    ranks = [linalg.rank(d, p) for d in diffs] + [0]
+    return list(_homology_dims(zip(spaces, ranks)))

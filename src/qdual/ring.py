@@ -59,10 +59,11 @@ def validate_ring(name, p, dim, unit, struct):
     BadUnit / NotLocal, each naming the first violating witness.
     """
     p = int(p)
-    if not is_prime(p):
-        raise NotPrime("p = %d is not prime" % p, witness=p)
+    # the bound comes first: trial division of a huge p would not end
     if p >= linalg.MAX_PRIME:
         raise NotPrime("p = %d exceeds the supported prime bound" % p, witness=p)
+    if not is_prime(p):
+        raise NotPrime("p = %d is not prime" % p, witness=p)
     if dim < 1:
         raise BadUnit("ring dimension must be at least 1", witness=dim)
     unit = linalg.as_fp(unit, p).reshape(dim)

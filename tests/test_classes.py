@@ -2,6 +2,7 @@
 
 import pytest
 
+from qdual import classes, cli
 from qdual import (builtin_module, check_artinian_collapse,
                    check_class_equality, check_duality_swap,
                    check_hom_faithful, check_theorem_B, check_two_of_three,
@@ -148,3 +149,80 @@ def test_swap_is_explicit_on_duals():
     assert is_quasidualizing(matlis_dual(reg), 4).passed
     e = injective_hull(r6)
     assert is_semidualizing(matlis_dual(e), 4).passed
+
+
+def _counting(monkeypatch, name):
+    """Record the calls of `classes.<name>`, a natural map that one
+    predicate body calls exactly once, so each call is one body run."""
+    calls = []
+    original = getattr(classes, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(classes, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("predicate, natural_map", [
+    (is_semidualizing, "homothety_map"),
+    (is_derived_reflexive, "biduality_map"),
+    (in_bass_class, "evaluation_map"),
+    (in_auslander_class, "gamma_map"),
+])
+def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
+    ring = RINGS["r5"]
+    k, e = builtin_module(ring, "k"), injective_hull(ring)
+    args = (k,) if predicate is is_semidualizing else (k, e)
+    calls = _counting(monkeypatch, natural_map)
+    with classes.verdict_memo():
+        first = predicate(*args, 3)
+        want = (first.name, first.bound, list(first.conditions))
+        verdict = first.verdict
+        first.mark_vacuous()
+        second = predicate(*args, bound=3)
+        assert second is not first
+        assert (second.name, second.bound, second.conditions) == want
+        assert not second.vacuous and second.verdict == verdict
+        second.mark_vacuous()
+        third = predicate(*args, 3)
+        assert (third.name, third.bound, third.conditions) == want
+        assert len(calls) == 1             # the hits computed nothing
+        predicate(*args, 2)                # the bound is part of the key
+        assert len(calls) == 2
+    predicate(*args, 3)                    # no memo outside the block
+    assert len(calls) == 3
+
+
+def test_memo_keys_modules_by_their_bytes(monkeypatch):
+    ring = RINGS["r5"]
+    calls = _counting(monkeypatch, "biduality_map")
+    with classes.verdict_memo():
+        # R^v and E are different objects with the same action bytes
+        is_derived_reflexive(builtin_module(ring, "k"),
+                             matlis_dual(regular_module(ring)), 4)
+        is_derived_reflexive(builtin_module(ring, "k"),
+                             injective_hull(ring), 4)
+    assert len(calls) == 1
+
+
+def test_no_memo_outlives_run_verify(monkeypatch):
+    ring = RINGS["r3"]
+    calls = _counting(monkeypatch, "biduality_map")
+    runs = []
+    for _ in range(2):
+        cli.run_verify(ring, ["theorem-b", "class-equality"], 3, 2, 0)
+        assert classes._memo.get() is None
+        runs.append(len(calls))
+    # the second run recomputes every verdict it memoized in the first
+    assert runs[0] > 0 and runs[1] == 2 * runs[0]
+
+    def broken(t, m, bound):
+        assert classes._memo.get() is not None
+        raise RuntimeError("checker failed")
+
+    monkeypatch.setattr(classes, "check_theorem_B", broken)
+    with pytest.raises(RuntimeError):
+        cli.run_verify(ring, ["theorem-b"], 3, 1, 0)
+    assert classes._memo.get() is None

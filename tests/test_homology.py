@@ -1,13 +1,20 @@
 """Resolutions, Ext/Tor tables, cross-oracles, complex homology."""
 
+import itertools
+
 import numpy as np
 import pytest
+from test_module import F4X
 
-from qdual import (builtin_module, complex_homology, corpus_ring,
-                   ext_dims, ext_dims_via_injective, injective_resolution,
-                   matlis_dual, minimal_free_resolution, regular_module,
-                   sample_modules, tor_dims, zero_module)
-from qdual.errors import NotAComplex
+from qdual import (CheckReport, builtin_module, clear_resolution_cache,
+                   complex_homology, corpus_ring, ext_dims,
+                   ext_dims_via_injective, injective_resolution,
+                   linalg, matlis_dual, minimal_free_resolution,
+                   parse_ring, regular_module, sample_modules, tor_dims,
+                   zero_module)
+from qdual.classes import _vanishing
+from qdual.errors import NotAComplex, RingMismatch
+from qdual.homology import _generator_ring_blocks, ext_degrees, tor_degrees
 
 RINGS = {name: corpus_ring(name) for name in ("r3", "r4", "r5", "r6")}
 
@@ -171,3 +178,60 @@ def test_cached_resolution_arrays_are_read_only():
         for matrix in res.diffs + (res.augmentation.matrix,):
             with pytest.raises(ValueError):
                 matrix[0, 0] = matrix[0, 0]
+
+
+def reference_table_dims(m, n, bound, layout):
+    """The whole table from one resolution of length bound+1, as Ext/Tor
+    were computed before degrees were ranked one at a time."""
+    ring = m.ring
+    p = ring.p
+    res = minimal_free_resolution(m, bound + 1)
+    ranks = [0]
+    for i in range(bound + 1):
+        blocks = _generator_ring_blocks(res.diffs[i], res.betti[i],
+                                        res.betti[i + 1], ring)
+        mat = np.einsum(layout, blocks, n.action) % p
+        shape = mat.shape
+        ranks.append(linalg.rank(mat.reshape(shape[0] * shape[1],
+                                             shape[2] * shape[3]), p))
+    return tuple(b * n.dim - ranks[i] - ranks[i + 1]
+                 for i, b in enumerate(res.betti[:bound + 1]))
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + [parse_ring(F4X)], ids=lambda r: r.name)
+def test_per_degree_loop_matches_whole_tables(ring):
+    bound = 4
+    mods = sample_modules(ring, 3, 31, max_dim=8) + [
+        builtin_module(ring, "k")]
+    for m in mods:
+        for n in mods:
+            clear_resolution_cache()      # the loop extends from nothing
+            ext = tuple(itertools.islice(ext_degrees(m, n), bound + 1))
+            tor = tuple(itertools.islice(tor_degrees(m, n), bound + 1))
+            clear_resolution_cache()      # the reference resolves at once
+            want_ext = reference_table_dims(m, n, bound, "cjr,rab->jacb")
+            want_tor = reference_table_dims(m, n, bound, "cjr,rab->cajb")
+            assert ext == want_ext == ext_dims(m, n, bound).dims
+            assert ext == ext_dims_via_injective(m, n, bound).dims
+            assert tor == want_tor == tor_dims(m, n, bound).dims
+            # every bound up to 4, so that the last degree is checked
+            for (degrees, table, name), b in itertools.product(
+                    ((ext_degrees, want_ext, "Ext^%d"),
+                     (tor_degrees, want_tor, "Tor_%d")), range(1, bound + 1)):
+                report = CheckReport("vanishing", b)
+                _vanishing(report, "v", degrees, name, m, n, b)
+                first = next((i for i in range(1, b + 1) if table[i]), None)
+                assert report.conditions == [
+                    ("v", "PASS", "") if first is None else
+                    ("v", "FAIL", "%s has dim %d" % (name % first,
+                                                     table[first]))]
+
+
+def test_per_degree_loop_checks_rings_before_iterating():
+    k3 = builtin_module(RINGS["r3"], "k")
+    k5 = builtin_module(RINGS["r5"], "k")
+    for degrees in (ext_degrees, tor_degrees):
+        with pytest.raises(RingMismatch):
+            degrees(k3, k5)
