@@ -70,15 +70,11 @@ def hom_module(m, n):
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
-    eye_m = linalg.identity(nm)
-    eye_n = linalg.identity(nn)
-    blocks = []
-    for i in range(ring.dim):
-        # vec(X A_i) - vec(B_i X) = 0, row-major vec
-        blocks.append((np.kron(eye_n, m.action[i].T)
-                       - np.kron(n.action[i], eye_m)) % p)
-    constraint = np.concatenate(blocks, axis=0) if blocks else \
-        linalg.zeros(0, nn * nm)
+    # vec(X A_i) - vec(B_i X) = 0, row-major vec: entry (i, a, b, c, e)
+    # is delta_ac A_i[e, b] - B_i[a, c] delta_be
+    constraint = (linalg.eye_kron(nn, m.action.transpose(0, 2, 1))
+                  - linalg.kron_eye(n.action, nm)) % p
+    constraint = constraint.reshape(ring.dim * nn * nm, nn * nm)
     basis, support = linalg.kernel_with_support(constraint, p)
     h = basis.shape[1]
     action = np.zeros((ring.dim, h, h), dtype=np.int64)
@@ -97,14 +93,14 @@ def tensor_module(m, n):
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
-    eye_m = linalg.identity(nm)
-    eye_n = linalg.identity(nn)
-    left = [np.kron(m.action[i], eye_n) for i in range(ring.dim)]
-    full = Module(ring, nm * nn, np.stack(left) % p, check=False)
-    rels = [(a - np.kron(eye_m, n.action[i])) % p
-            for i, a in enumerate(left)]
-    relcols = np.concatenate(rels, axis=1) if rels else \
-        linalg.zeros(nm * nn, 0)
+    left = linalg.kron_eye(m.action, nn)
+    full = Module(ring, nm * nn, left.reshape(ring.dim, nm * nn, nm * nn),
+                  check=False)
+    # column (i, c, e) of the relations is column (c, e) of
+    # kron(A_i, I) - kron(I, B_i)
+    rels = (left - linalg.eye_kron(nm, n.action)) % p
+    relcols = rels.transpose(1, 2, 0, 3, 4).reshape(
+        nm * nn, ring.dim * nm * nn)
     quot, projmap, sect = quotient_module(full, relcols)
     return TensorData(quot, projmap.matrix, sect)
 

@@ -1,10 +1,13 @@
 """Minimal free resolutions, injective resolutions through duality, and
 Ext/Tor dimension tables with an independent cross-oracle.
 
-A free module R^b is coordinatized by (copy i, ring coord j) -> i*d + j.
-Differentials are stored as field matrices between those coordinates;
-the ring-coordinate block of column (generator j) recovers the ring
-element acting on copy c as v[c*d:(c+1)*d].
+A free module R^b is coordinatized by (copy i, ring coord j) -> i*d + j,
+so e_i acts on R^b as mult[i] on each copy's block of d rows; that
+kron(I_b, mult[i]) is never built.  Differentials are stored as field
+matrices between those coordinates; the ring-coordinate block of column
+(generator j) recovers the ring element acting on copy c as
+v[c*d:(c+1)*d].  Each resolution degree is one kernel, one canonical
+basis of it, and one elimination for the syzygy's minimal generators.
 
 Resolutions are memoized in a plain per-process dict keyed by the
 module, until `clear_resolution_cache`; qdual is single-threaded, so
@@ -25,7 +28,8 @@ import numpy as np
 from . import linalg
 from .errors import NotAComplex, RingMismatch
 from .functors import matlis_dual
-from .module import Module, ModuleMap, free_module, minimal_generators
+from .module import (Module, ModuleMap, free_module, generator_images,
+                     minimal_generators)
 
 
 @dataclass(frozen=True)
@@ -74,18 +78,12 @@ def minimal_free_resolution(module, length):
     return res.truncated(length) if res.length != length else res
 
 
-def _generator_columns(ring, free_rank, gens):
-    """Field matrix of R^mu -> R^free_rank sending free generators to
-    the given columns; column (i, j) is e_j acting on generator i."""
-    p = ring.p
-    d = ring.dim
-    mu = gens.shape[1]
-    out = np.zeros((gens.shape[0], mu * d), dtype=np.int64)
-    eye = linalg.identity(free_rank)
-    for j in range(d):
-        fj = np.kron(eye, ring.mult[j]) % p
-        out[:, j::d] = fj @ gens % p
-    return out
+def _free_action(ring, x):
+    """The stack (e_i x) over the ring basis for columns x in R^b, i.e.
+    kron(I_b, mult[i]) @ x without the kron: mult[i] on each copy."""
+    rows, cols = x.shape
+    images = ring.mult[:, None] @ x.reshape(rows // ring.dim, ring.dim, cols)
+    return (images % ring.p).reshape(ring.dim, rows, cols)
 
 
 def _compute_resolution(module, length, base=None):
@@ -97,9 +95,7 @@ def _compute_resolution(module, length, base=None):
     if base is None:
         gens = minimal_generators(module)
         b = [gens.shape[1]]
-        aug_cols = np.zeros((module.dim, b[0] * d), dtype=np.int64)
-        for j in range(d):
-            aug_cols[:, j::d] = module.action[j] @ gens % p
+        aug_cols = generator_images(module.action @ gens % p)
         augmentation = ModuleMap(free_module(ring, b[0]), module, aug_cols)
         augmentation.matrix.setflags(write=False)
         diffs = []
@@ -119,17 +115,11 @@ def _compute_resolution(module, length, base=None):
             prev = diffs[-1]
             continue
         basis, pivots = linalg.canon_basis(kern, p)
-        # the syzygy module in K-coordinates, then its minimal
-        # generators (residue-field aware)
-        eye = linalg.identity(free_rank)
-        kdim = basis.shape[1]
-        action = np.zeros((d, kdim, kdim), dtype=np.int64)
-        for i in range(d):
-            xm = np.kron(eye, ring.mult[i]) % p
-            action[i] = (xm @ basis % p)[pivots, :]
-        syzygy = Module(ring, kdim, action, check=False)
+        # the syzygy module in K-coordinates, then its minimal generators
+        syzygy = Module(ring, basis.shape[1],
+                        _free_action(ring, basis)[:, pivots, :], check=False)
         gens_field = basis @ minimal_generators(syzygy) % p
-        dmat = _generator_columns(ring, free_rank, gens_field)
+        dmat = generator_images(_free_action(ring, gens_field))
         b.append(gens_field.shape[1])
         diffs.append(dmat)
         prev = dmat

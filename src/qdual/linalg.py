@@ -105,6 +105,18 @@ def mat_pow(a, n, p):
     return result
 
 
+def eye_kron(n, mats):
+    """kron(I_n, M_i) for the stack mats (k, r, c), unflattened to shape
+    (k, n, r, n, c): entry (i, a, b, c, e) is delta_ac M_i[b, e]."""
+    return identity(n)[:, None, :, None] * mats[:, None, :, None, :]
+
+
+def kron_eye(mats, n):
+    """kron(M_i, I_n) for the stack mats (k, r, c), unflattened to shape
+    (k, r, n, c, n): entry (i, a, b, c, e) is M_i[a, c] delta_be."""
+    return mats[:, :, None, :, None] * identity(n)[:, None, :]
+
+
 def canon_basis(vectors, p):
     """Canonical column basis of the span of the given columns.
 

@@ -138,21 +138,24 @@ def regular_module(ring):
 
 def free_module(ring, rank):
     """R^rank with coordinate (copy i, ring coord j) -> i*dim + j."""
-    eye = linalg.identity(rank)
-    action = np.stack([np.kron(eye, m) for m in ring.mult]) % ring.p
-    return Module(ring, rank * ring.dim, action,
-                  name="R^%d" % rank, check=False)
+    n = rank * ring.dim
+    action = linalg.eye_kron(rank, ring.mult).reshape(ring.dim, n, n)
+    return Module(ring, n, action, name="R^%d" % rank, check=False)
 
 
 def radical_submodule(module):
     """Canonical basis of mM (column span of radical actions)."""
-    p = module.ring.p
+    return _radical_canon(module)[0]
+
+
+def _radical_canon(module):
+    """(canonical basis, pivots) of mM."""
     rad = module.ring.radical
     if rad.shape[1] == 0 or module.dim == 0:
-        return linalg.zeros(module.dim, 0)
+        return linalg.zeros(module.dim, 0), []
     cols = np.concatenate(
         [module.act(rad[:, j]) for j in range(rad.shape[1])], axis=1)
-    return linalg.canon_basis(cols, p)[0]
+    return linalg.canon_basis(cols, module.ring.p)
 
 
 def socle(module):
@@ -174,35 +177,34 @@ def minimal_generator_count(module):
 def minimal_generators(module):
     """Deterministic minimal generating set as columns.
 
-    Candidates are the canonical complement of mM; a candidate is kept
-    only if it falls outside the submodule generated by mM and the
-    previously kept ones, so the images form a residue-field basis of
-    M/mM even when the residue field is larger than F_p.
+    Candidates c_1, c_2, ... are the canonical complement of mM; c_j is
+    kept when it lies outside S_j = mM + R c_1 + ... + R c_{j-1}, so the
+    kept images form a residue-field basis of M/mM even when the residue
+    field is larger than F_p.  (A rejected c_l lies in S_l, so S_j is
+    also mM plus the R c_l of the kept candidates alone.)
 
-    No closure loop is needed: the running span is always a submodule
-    (mM, then mM + R c_1 + ...), so adding a kept candidate c gives
-    span + R c = span + F_p{e_j c}, one elimination over the whole ring
-    basis e_j (whose span holds the unit, so c itself is included).
-    The canonical basis depends only on the span, so this is the basis
-    `span_closure` would return.
+    The greedy choice is one column rank profile: S_j is a submodule,
+    so it contains c_j exactly when it contains R c_j, which the images
+    e_i c_j under the ring basis span.  So in W = [mM basis | block 1 |
+    block 2 | ...], block j holding the images of c_j, c_j is kept
+    exactly when block j holds a pivot column of rref(W).
     """
     p = module.ring.p
-    rad = radical_submodule(module)
-    basis, pivots = linalg.canon_basis(rad, p)
-    _, sect, _ = linalg.complement(basis, pivots, module.dim, p)
-    chosen = []
-    span, span_piv = basis, pivots
-    for j in range(sect.shape[1]):
-        c = sect[:, j:j + 1]
-        if linalg.in_span(span, span_piv, c, p):
-            continue
-        chosen.append(c)
-        images = (module.action @ c % p)[:, :, 0].T
-        span, span_piv = linalg.canon_basis(
-            np.concatenate([span, images], axis=1), p)
-    if not chosen:
-        return linalg.zeros(module.dim, 0)
-    return np.concatenate(chosen, axis=1)
+    basis, pivots = _radical_canon(module)
+    _, sect, comp = linalg.complement(basis, pivots, module.dim, p)
+    # sect[:, j] is the unit vector at comp[j], so e_i c_j = A_i[:, comp[j]]
+    w = np.concatenate(
+        [basis, generator_images(module.action[:, :, comp])], axis=1)
+    profile = linalg.rref(w, p)[2][len(pivots):]
+    return sect[:, sorted({(col - len(pivots)) // module.ring.dim
+                           for col in profile})]
+
+
+def generator_images(images):
+    """Field matrix of R^s -> M sending the free generators to s columns
+    V, from the stack images[i] = e_i V: column j*d + i is e_i V[:, j]."""
+    d, n, s = images.shape
+    return images.transpose(1, 2, 0).reshape(n, s * d)
 
 
 def span_closure(module, vectors):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
                    direct_sum, ext_dims, ext_dims_via_injective,
@@ -207,6 +209,58 @@ def test_minimal_generators_match_closure_loop(ring):
         assert np.array_equal(got, want), module
 
 
+def test_reference_rejects_candidates_over_f4x():
+    # over F_4 the top of each generator is 2-dimensional over F_2, so the
+    # reference keeps one candidate in two and the comparison above
+    # covers rejection, not only acceptance
+    ring = parse_ring(F4X)
+    tops = [(m.dim - radical_submodule(m).shape[1],
+             closure_loop_generators(m).shape[1])
+            for m in _generator_subjects(ring)]
+    assert all(top == 2 * kept for top, kept in tops)
+    assert any(top > kept for top, kept in tops)
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_generators_over_residue_degree_one_are_the_whole_complement(ring):
+    # Nakayama: over residue field F_p, the canonical complement of mM
+    # maps onto a basis of M/mM, so every candidate is kept
+    assert ring.residue_degree == 1
+    for module in _generator_subjects(ring):
+        basis, pivots = linalg.canon_basis(radical_submodule(module), ring.p)
+        _, sect, _ = linalg.complement(basis, pivots, module.dim, ring.p)
+        assert np.array_equal(minimal_generators(module), sect)
+
+
+@st.composite
+def _stacks(draw):
+    """(p, n, stack of k matrices r x c) with entries in [0, p), zero
+    sizes included."""
+    p = draw(st.sampled_from([2, 3, 65521]))
+    n, k, r, c = (draw(st.integers(0, 4)) for _ in range(4))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=k * r * c,
+                            max_size=k * r * c))
+    return p, n, np.array(entries, dtype=np.int64).reshape(k, r, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_broadcast_kron_products_match_np_kron(case):
+    p, n, mats = case
+    k, r, c = mats.shape
+    eye = linalg.identity(n)
+    left = linalg.eye_kron(n, mats).reshape(k, n * r, n * c)
+    right = linalg.kron_eye(mats, n).reshape(k, r * n, c * n)
+    for i in range(k):
+        assert np.array_equal(left[i], np.kron(eye, mats[i]))
+        assert np.array_equal(right[i], np.kron(mats[i], eye))
+    # free_module relies on the products staying reduced mod p
+    assert left.dtype == right.dtype == np.int64
+    assert not np.any(left >= p) and not np.any(right >= p)
+
+
 def test_residue_extension_with_nilpotents():
     ring = parse_ring(F4X)
     assert ring.residue_degree == 2
@@ -218,9 +272,24 @@ def test_residue_extension_with_nilpotents():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_betti_of_k_grow_as_embedding_dimension_powers(p):
-    # F_p[x,y,z]/(x,y,z)^2 has m^2 = 0 and embedding dimension e = 3, so
-    # k has Poincare series 1/(1 - e t) (Avramov, "Infinite free
-    # resolutions", 1998)
-    ring = parse_ring(_ring_text("rsz", p, 4, {}))
+    # F_p[x_1..x_e]/(x_1..x_e)^2 has m^2 = 0 and embedding dimension e,
+    # so k has Poincare series 1/(1 - e t) (Avramov, "Infinite free
+    # resolutions", 1998).  e = 3 stops at length 6: length 7 would
+    # eliminate 2187 x 8748 matrices.
+    for e, length in ((2, 7), (3, 6)):
+        ring = parse_ring(_ring_text("rsz", p, e + 1, {}))
+        k = builtin_module(ring, "k")
+        assert minimal_free_resolution(k, length).betti == tuple(
+            e ** i for i in range(length + 1))
+
+
+def test_truncated_polynomial_ring_has_periodic_k():
+    # over F_3[x]/(x^4) the resolution of k is R <- R <- R ... with maps
+    # alternating between x and x^3, so every Betti number and every
+    # dim Ext^i(k, k) is 1
+    ring = parse_ring(_ring_text("f3x4", 3, 4, {
+        (1, 1): [0, 0, 1, 0], (1, 2): [0, 0, 0, 1]}))
     k = builtin_module(ring, "k")
-    assert minimal_free_resolution(k, 4).betti == (1, 3, 9, 27, 81)
+    assert minimal_free_resolution(k, 7).betti == (1,) * 8
+    assert ext_dims(k, k, 6).dims == (1,) * 7
+    assert ext_dims_via_injective(k, k, 6).dims == (1,) * 7
