@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import inspect
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -108,28 +107,36 @@ def verdict_memo():
 
 def _memoized(body):
     """Wrap a predicate so that, inside `verdict_memo`, each (predicate,
-    arguments) is computed once.  Modules enter the key as their exact
-    key bytes, and the bound is an argument.  The memo holds immutable
-    (name, conditions) pairs; every hit builds a fresh CheckReport,
-    since reports are mutable (mark_vacuous)."""
-    signature = inspect.signature(body)
+    arguments) is computed once.  The key lists every parameter in the
+    body's order, defaults filled in and each Module as its exact key
+    bytes, so pred(k, e, 3) and pred(k, e, bound=3) share one entry.
+    Parameter names and defaults are read off the body once; a call the
+    body rejects goes to the body, which raises.  The memo holds
+    immutable (name, conditions) pairs; every hit builds a fresh
+    CheckReport, since reports are mutable (mark_vacuous)."""
+    code = body.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = dict(zip(names[::-1], (body.__defaults__ or ())[::-1]))
 
     @functools.wraps(body)
     def predicate(*args, **kwargs):
         memo = _memo.get()
         if memo is None:
             return body(*args, **kwargs)
-        call = signature.bind(*args, **kwargs)
-        call.apply_defaults()
+        given = dict(zip(names, args))
+        call = {**defaults, **given, **kwargs}
+        if (len(args) > len(names) or given.keys() & kwargs.keys()
+                or call.keys() != set(names)):
+            return body(*args, **kwargs)
         key = (body,) + tuple(a.key if isinstance(a, Module) else a
-                              for a in call.args)
+                              for a in map(call.get, names))
         verdict = memo.get(key)
         if verdict is None:
-            report = body(*call.args)
+            report = body(*args, **kwargs)
             memo[key] = (report.name, tuple(report.conditions))
             return report
         name, conditions = verdict
-        return CheckReport(name, call.arguments["bound"], list(conditions))
+        return CheckReport(name, call["bound"], list(conditions))
 
     return predicate
 

@@ -131,20 +131,12 @@ def homothety_map(m):
 def biduality_map(l, m):
     """delta: L -> Hom(Hom(L, M), M), l -> (phi -> phi(l))."""
     _same_ring(l, m)
-    p = l.ring.p
     h1 = hom_module(l, m)
     h2 = hom_module(h1.module, m)
     k1 = h1.basis.shape[1]
-    cols = []
-    for a in range(l.dim):
-        # matrix of the evaluation-at-e_a functional on the hom basis
-        d_a = np.zeros((m.dim, k1), dtype=np.int64)
-        for j in range(k1):
-            phi = h1.basis[:, j].reshape(m.dim, l.dim)
-            d_a[:, j] = phi[:, a]
-        cols.append(d_a.reshape(-1) % p)
-    flat = np.stack(cols, axis=1) if cols else linalg.zeros(
-        m.dim * k1, 0)
+    # column a evaluates the hom basis at e_a: entry (x, j) is phi_j[x, a]
+    flat = h1.basis.reshape(m.dim, l.dim, k1).transpose(0, 2, 1).reshape(
+        m.dim * k1, l.dim)
     coords = h2.coords(flat)
     return ModuleMap(l, h2.module, coords)
 
@@ -156,10 +148,9 @@ def evaluation_map(lp, l):
     hom = hom_module(lp, l)
     tens = tensor_module(hom.module, lp)
     h = hom.basis.shape[1]
-    full = np.zeros((l.dim, h * lp.dim), dtype=np.int64)
-    for j in range(h):
-        phi = hom.basis[:, j].reshape(l.dim, lp.dim)
-        full[:, j * lp.dim:(j + 1) * lp.dim] = phi
+    # phi_j (x) e_y -> phi_j e_y: block j of the columns is phi_j
+    full = hom.basis.reshape(l.dim, lp.dim, h).transpose(0, 2, 1).reshape(
+        l.dim, h * lp.dim)
     matrix = full @ tens.sect % p
     return ModuleMap(tens.module, l, matrix)
 
@@ -167,17 +158,10 @@ def evaluation_map(lp, l):
 def gamma_map(lp, l):
     """gamma: L -> Hom(L', L' (x) L), l -> (x -> x (x) l)."""
     _same_ring(lp, l)
-    p = l.ring.p
     tens = tensor_module(lp, l)
     hom = hom_module(lp, tens.module)
-    t = tens.module.dim
-    cols = []
-    for a in range(l.dim):
-        g_a = np.zeros((t, lp.dim), dtype=np.int64)
-        for b in range(lp.dim):
-            g_a[:, b] = tens.proj[:, b * l.dim + a]
-        cols.append(g_a.reshape(-1))
-    flat = np.stack(cols, axis=1) if cols else linalg.zeros(t * lp.dim, 0)
+    # column a is e_b -> e_b (x) e_a: entry (x, b) is proj[x, b*dim L + a]
+    flat = tens.proj.reshape(tens.module.dim * lp.dim, l.dim)
     coords = hom.coords(flat)
     return ModuleMap(l, hom.module, coords)
 
@@ -193,17 +177,11 @@ def hom_evaluation_map(l, lp, lpp):
     k1 = h1.basis.shape[1]
     k2 = h2.basis.shape[1]
     tens = tensor_module(l, h1.module)
-    cols = []
-    for a in range(l.dim):
-        for j in range(k1):
-            phi = h1.basis[:, j].reshape(lpp.dim, lp.dim)
-            theta = np.zeros((lpp.dim, k2), dtype=np.int64)
-            for mdx in range(k2):
-                beta = h2.basis[:, mdx].reshape(lp.dim, l.dim)
-                theta[:, mdx] = phi @ beta[:, a] % p
-            cols.append(theta.reshape(-1))
-    flat = np.stack(cols, axis=1) if cols else linalg.zeros(
-        lpp.dim * k2, 0)
+    # column (a, j) is beta_m -> phi_j beta_m e_a: entry (z, m) is
+    # sum_y phi_j[z, y] beta_m[y, a]
+    flat = np.einsum("zyj,yam->zmaj", h1.basis.reshape(lpp.dim, lp.dim, k1),
+                     h2.basis.reshape(lp.dim, l.dim, k2)) % p
+    flat = flat.reshape(lpp.dim * k2, l.dim * k1)
     full = h3.coords(flat)                      # h3-coords on L (x) H1 basis
     matrix = full @ tens.sect % p
     return ModuleMap(tens.module, h3.module, matrix)

@@ -9,13 +9,17 @@ matrices between those coordinates; the ring-coordinate block of column
 v[c*d:(c+1)*d].  Each resolution degree is one kernel, one canonical
 basis of it, and one elimination for the syzygy's minimal generators.
 
-Resolutions are memoized in a plain per-process dict keyed by the
-module, until `clear_resolution_cache`; qdual is single-threaded, so
-the cache takes no lock.  Cached arrays are read-only, because every
-caller shares them.  Ext and Tor come from one loop that yields one
-degree at a time and extends the cached resolution only as far as the
-degrees asked for; `ext_dims`/`tor_dims` take its first bound+1
-values.  Nothing else is cached here.
+Each module has one growing resolution in a plain per-process dict
+keyed by the module, until `clear_resolution_cache`: its Betti list,
+its list of differentials and its augmentation.  `_resolution` appends
+degrees to those lists in place, never recomputing or copying one, and
+the Ext/Tor loops and the injective oracle index the lists directly;
+`minimal_free_resolution` returns a `FreeResolution` sliced from them.
+qdual is single-threaded, so the cache takes no lock.  Cached arrays
+are read-only, because every caller shares them.  Ext and Tor come
+from one loop that yields one degree at a time and extends the
+resolution only as far as the degrees asked for; `ext_dims`/`tor_dims`
+take its first bound+1 values.  Nothing else is cached here.
 """
 
 from __future__ import annotations
@@ -45,16 +49,6 @@ class FreeResolution:
     diffs: tuple
     augmentation: ModuleMap
 
-    @property
-    def length(self):
-        return len(self.diffs)
-
-    def truncated(self, length):
-        if length > self.length:
-            raise ValueError("resolution shorter than requested prefix")
-        return FreeResolution(self.module, self.betti[:length + 1],
-                              self.diffs[:length], self.augmentation)
-
 
 @dataclass(frozen=True)
 class DimTable:
@@ -62,6 +56,7 @@ class DimTable:
     dims: tuple
 
 
+# module key -> (betti list, diffs list, augmentation), grown in place
 _cache = {}
 
 
@@ -70,12 +65,11 @@ def clear_resolution_cache():
 
 
 def minimal_free_resolution(module, length):
-    """Minimal free resolution prefix, memoized per module."""
-    res = _cache.get(module.key)
-    if res is None or res.length < length:
-        res = _compute_resolution(module, length, base=res)
-        _cache[module.key] = res
-    return res.truncated(length) if res.length != length else res
+    """Minimal free resolution prefix of the given length, sliced from
+    the module's cached resolution."""
+    betti, diffs, augmentation = _resolution(module, length)
+    return FreeResolution(module, tuple(betti[:length + 1]),
+                          tuple(diffs[:length]), augmentation)
 
 
 def _free_action(ring, x):
@@ -86,46 +80,37 @@ def _free_action(ring, x):
     return (images % ring.p).reshape(ring.dim, rows, cols)
 
 
-def _compute_resolution(module, length, base=None):
-    """Compute a resolution prefix, continuing from `base` if given."""
+def _resolution(module, length):
+    """The cached (betti, diffs, augmentation) of `module`, its lists
+    extended in place until diffs holds at least `length` differentials."""
     ring = module.ring
     p = ring.p
-    d = ring.dim
-
-    if base is None:
+    record = _cache.get(module.key)
+    if record is None:
         gens = minimal_generators(module)
-        b = [gens.shape[1]]
-        aug_cols = generator_images(module.action @ gens % p)
-        augmentation = ModuleMap(free_module(ring, b[0]), module, aug_cols)
+        augmentation = ModuleMap(free_module(ring, gens.shape[1]), module,
+                                 generator_images(module.action @ gens % p))
         augmentation.matrix.setflags(write=False)
-        diffs = []
-        prev = aug_cols
-    else:
-        b = list(base.betti)
-        augmentation = base.augmentation
-        diffs = list(base.diffs)
+        record = _cache[module.key] = ([gens.shape[1]], [], augmentation)
+    betti, diffs, augmentation = record
+    while len(diffs) < length:
         prev = diffs[-1] if diffs else augmentation.matrix
-
-    for _ in range(length - len(diffs)):
-        kern, support = linalg.kernel_with_support(prev, p)
-        free_rank = b[-1]
+        kern = linalg.kernel_basis(prev, p)
         if kern.shape[1] == 0:
-            b.append(0)
-            diffs.append(linalg.zeros(free_rank * d, 0))
-            prev = diffs[-1]
-            continue
-        basis, pivots = linalg.canon_basis(kern, p)
-        # the syzygy module in K-coordinates, then its minimal generators
-        syzygy = Module(ring, basis.shape[1],
-                        _free_action(ring, basis)[:, pivots, :], check=False)
-        gens_field = basis @ minimal_generators(syzygy) % p
-        dmat = generator_images(_free_action(ring, gens_field))
-        b.append(gens_field.shape[1])
-        diffs.append(dmat)
-        prev = dmat
-    for dmat in diffs:
+            dmat = linalg.zeros(betti[-1] * ring.dim, 0)
+        else:
+            basis, pivots = linalg.canon_basis(kern, p)
+            # the syzygy module in K-coordinates; its minimal generators
+            # are unit columns, so they select columns of the basis
+            syzygy = Module(ring, basis.shape[1],
+                            _free_action(ring, basis)[:, pivots, :],
+                            check=False)
+            gens = basis[:, minimal_generators(syzygy).argmax(axis=0)]
+            dmat = generator_images(_free_action(ring, gens))
         dmat.setflags(write=False)
-    return FreeResolution(module, tuple(b), tuple(diffs), augmentation)
+        betti.append(dmat.shape[1] // ring.dim)
+        diffs.append(dmat)
+    return record
 
 
 def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):
@@ -156,15 +141,14 @@ def _induced_ranks(m, n, layout):
     ring = m.ring
     p = ring.p
     for i in itertools.count():
-        res = minimal_free_resolution(m, i + 1)
-        blocks = _generator_ring_blocks(res.diffs[i], res.betti[i],
-                                        res.betti[i + 1], ring)
+        betti, diffs, _ = _resolution(m, i + 1)
+        blocks = _generator_ring_blocks(diffs[i], betti[i], betti[i + 1], ring)
         mat = np.einsum(layout, blocks, n.action) % p
         # einsum output is not C-ordered, so the reshape copies; rebinding
         # frees the 4-D array before the elimination
         shape = mat.shape
         mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
-        yield res.betti[i] * n.dim, linalg.rank(mat, p)
+        yield betti[i] * n.dim, linalg.rank(mat, p)
 
 
 def ext_degrees(m, n):
@@ -208,18 +192,18 @@ def ext_dims_via_injective(m, n, bound):
         raise RingMismatch("Ext arguments over different rings")
     ring = m.ring
     p = ring.p
-    res = minimal_free_resolution(matlis_dual(n), bound + 1)
+    betti, diffs, _ = _resolution(matlis_dual(n), bound + 1)
     nm = m.dim
     ranks = []                     # of (M^dual)^{c_i} -> (M^dual)^{c_{i+1}}
     for i in range(bound + 1):
-        cprev, ccur = res.betti[i], res.betti[i + 1]
-        blocks = _generator_ring_blocks(res.diffs[i], cprev, ccur, ring)
+        cprev, ccur = betti[i], betti[i + 1]
+        blocks = _generator_ring_blocks(diffs[i], cprev, ccur, ring)
         # block (s, t) is the transpose of sum_r blocks[t,s,r] A_r
         mat = np.einsum("tsr,rba->satb", blocks, m.action) % p
         mat = mat.reshape(ccur * nm, cprev * nm)
         ranks.append(linalg.rank(mat, p))
     return DimTable(tuple(_homology_dims(
-        zip([c * nm for c in res.betti[:bound + 1]], ranks))))
+        zip([c * nm for c in betti[:bound + 1]], ranks))))
 
 
 def injective_resolution(module, length):
@@ -234,7 +218,7 @@ def injective_resolution(module, length):
     res = minimal_free_resolution(matlis_dual(module), length)
     maps = [d.T % p for d in res.diffs]
     coaug = res.augmentation.matrix.T % p
-    return tuple(res.betti), maps, coaug
+    return res.betti, maps, coaug
 
 
 def complex_homology(diffs, p):

@@ -86,10 +86,8 @@ def kernel_with_support(a, p):
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
     k = zeros(cols, len(free))
-    for j, f in enumerate(free):
-        k[f, j] = 1
-        for i, pc in enumerate(pivots):
-            k[pc, j] = (-r[i, f]) % p
+    k[free, range(len(free))] = 1
+    k[pivots, :] = -r[:rk, free] % p
     return k, free
 
 
@@ -143,16 +141,11 @@ def complement(basis, pivots, n, p):
     """
     pivset = set(pivots)
     comp = [j for j in range(n) if j not in pivset]
-    proj = zeros(len(comp), n)
-    for i, j in enumerate(comp):
-        proj[i, j] = 1
-    if len(pivots):
-        # x = S c + (complement part); c = x[pivots], so the complement
-        # coordinates are x[comp] - S[comp, :] x[pivots].
-        proj[:, pivots] = (proj[:, pivots] - basis[comp, :]) % p
-    sect = zeros(n, len(comp))
-    for i, j in enumerate(comp):
-        sect[j, i] = 1
+    sect = identity(n)[:, comp]
+    proj = sect.T.copy()
+    # x = S c + (complement part); c = x[pivots], so the complement
+    # coordinates are x[comp] - S[comp, :] x[pivots].
+    proj[:, pivots] = -basis[comp, :] % p
     return proj, sect, comp
 
 

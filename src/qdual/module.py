@@ -208,20 +208,17 @@ def generator_images(images):
 
 
 def span_closure(module, vectors):
-    """Canonical basis of the submodule generated by the given columns."""
+    """(canonical basis, pivots) of the submodule R V generated by the
+    columns V.
+
+    R V is spanned by V and its images e_i V under the ring basis, and a
+    canonical basis depends only on the span, so one elimination of
+    [V | e_0 V | ... | e_{d-1} V] gives it.
+    """
     p = module.ring.p
     vectors = _as_columns(vectors, module.dim, p)
-    basis, pivots = linalg.canon_basis(vectors, p)
-    while True:
-        if basis.shape[1] == 0:
-            return basis, pivots
-        images = [module.action[i] @ basis % p
-                  for i in range(module.ring.dim)]
-        stacked = np.concatenate([basis] + images, axis=1)
-        new_basis, new_pivots = linalg.canon_basis(stacked, p)
-        if new_basis.shape[1] == basis.shape[1]:
-            return new_basis, new_pivots
-        basis, pivots = new_basis, new_pivots
+    images = module.action @ vectors % p
+    return linalg.canon_basis(np.concatenate([vectors, *images], axis=1), p)
 
 
 def submodule_generated(module, vectors):

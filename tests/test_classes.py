@@ -195,6 +195,26 @@ def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
     assert len(calls) == 3
 
 
+def test_memo_binds_every_call_form_to_one_key(monkeypatch):
+    ring = RINGS["r5"]
+    k, e = builtin_module(ring, "k"), injective_hull(ring)
+    calls = _counting(monkeypatch, "biduality_map")
+    with classes.verdict_memo():
+        for report in (is_derived_reflexive(k, e),
+                       is_derived_reflexive(k, e, classes.DEFAULT_BOUND),
+                       is_derived_reflexive(k, m=e),
+                       is_derived_reflexive(bound=classes.DEFAULT_BOUND,
+                                            m=e, l=k)):
+            assert report.bound == classes.DEFAULT_BOUND
+        assert len(calls) == 1
+        # calls the body rejects raise inside the memo as well
+        for args, kwargs in (((k, e, 3), {"bound": 3}), ((k,), {}),
+                             ((k, e, 3, 3), {}), ((k, e), {"n": e})):
+            with pytest.raises(TypeError):
+                is_derived_reflexive(*args, **kwargs)
+        assert len(calls) == 1
+
+
 def test_memo_keys_modules_by_their_bytes(monkeypatch):
     ring = RINGS["r5"]
     calls = _counting(monkeypatch, "biduality_map")

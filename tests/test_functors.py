@@ -1,13 +1,16 @@
 """Hom, tensor, Matlis duality and the natural transformations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from qdual import (biduality_map, builtin_module, corpus_ring,
+from qdual import (ModuleMap, biduality_map, builtin_module, corpus_ring,
                    evaluation_map, gamma_map, hom_evaluation_map, hom_module,
                    homothety_map, injective_hull, is_isomorphism,
                    matlis_dual, regular_module, sample_modules,
                    tensor_module, zero_module)
+from qdual import linalg
 from qdual.errors import RingMismatch
 
 RINGS = {name: corpus_ring(name) for name in ("r1", "r3", "r5", "r6")}
@@ -158,3 +161,101 @@ def test_zero_module_edge_cases():
     assert tensor_module(z, reg).module.dim == 0
     assert matlis_dual(z).dim == 0
     assert is_isomorphism(biduality_map(z, injective_hull(r5)))[0]
+
+
+# The natural maps build their matrices by reshape and einsum; these are
+# the per-entry loops they replaced, kept verbatim as the reference.
+
+def loop_biduality_map(l, m):
+    p = l.ring.p
+    h1 = hom_module(l, m)
+    h2 = hom_module(h1.module, m)
+    k1 = h1.basis.shape[1]
+    cols = []
+    for a in range(l.dim):
+        # matrix of the evaluation-at-e_a functional on the hom basis
+        d_a = np.zeros((m.dim, k1), dtype=np.int64)
+        for j in range(k1):
+            phi = h1.basis[:, j].reshape(m.dim, l.dim)
+            d_a[:, j] = phi[:, a]
+        cols.append(d_a.reshape(-1) % p)
+    flat = np.stack(cols, axis=1) if cols else linalg.zeros(
+        m.dim * k1, 0)
+    coords = h2.coords(flat)
+    return ModuleMap(l, h2.module, coords)
+
+
+def loop_evaluation_map(lp, l):
+    p = l.ring.p
+    hom = hom_module(lp, l)
+    tens = tensor_module(hom.module, lp)
+    h = hom.basis.shape[1]
+    full = np.zeros((l.dim, h * lp.dim), dtype=np.int64)
+    for j in range(h):
+        phi = hom.basis[:, j].reshape(l.dim, lp.dim)
+        full[:, j * lp.dim:(j + 1) * lp.dim] = phi
+    matrix = full @ tens.sect % p
+    return ModuleMap(tens.module, l, matrix)
+
+
+def loop_gamma_map(lp, l):
+    tens = tensor_module(lp, l)
+    hom = hom_module(lp, tens.module)
+    t = tens.module.dim
+    cols = []
+    for a in range(l.dim):
+        g_a = np.zeros((t, lp.dim), dtype=np.int64)
+        for b in range(lp.dim):
+            g_a[:, b] = tens.proj[:, b * l.dim + a]
+        cols.append(g_a.reshape(-1))
+    flat = np.stack(cols, axis=1) if cols else linalg.zeros(t * lp.dim, 0)
+    coords = hom.coords(flat)
+    return ModuleMap(l, hom.module, coords)
+
+
+def loop_hom_evaluation_map(l, lp, lpp):
+    p = l.ring.p
+    h1 = hom_module(lp, lpp)
+    h2 = hom_module(l, lp)
+    h3 = hom_module(h2.module, lpp)
+    k1 = h1.basis.shape[1]
+    k2 = h2.basis.shape[1]
+    tens = tensor_module(l, h1.module)
+    cols = []
+    for a in range(l.dim):
+        for j in range(k1):
+            phi = h1.basis[:, j].reshape(lpp.dim, lp.dim)
+            theta = np.zeros((lpp.dim, k2), dtype=np.int64)
+            for mdx in range(k2):
+                beta = h2.basis[:, mdx].reshape(lp.dim, l.dim)
+                theta[:, mdx] = phi @ beta[:, a] % p
+            cols.append(theta.reshape(-1))
+    flat = np.stack(cols, axis=1) if cols else linalg.zeros(
+        lpp.dim * k2, 0)
+    full = h3.coords(flat)                      # h3-coords on L (x) H1 basis
+    matrix = full @ tens.sect % p
+    return ModuleMap(tens.module, h3.module, matrix)
+
+
+def _assert_same_map(got, want):
+    assert got.source.key == want.source.key
+    assert got.target.key == want.target.key
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.dtype == want.matrix.dtype
+    assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_natural_maps_match_loop_reference(ring):
+    mods = [builtin_module(ring, name) for name in ("0", "k", "R", "E")]
+    mods += sample_modules(ring, 3, 41, max_dim=6)
+    for a, b in itertools.product(mods, repeat=2):
+        _assert_same_map(biduality_map(a, b), loop_biduality_map(a, b))
+        _assert_same_map(evaluation_map(a, b), loop_evaluation_map(a, b))
+        _assert_same_map(gamma_map(a, b), loop_gamma_map(a, b))
+    # the zero module in each slot, and builtins and samples in all three
+    for a, b, c in itertools.product(mods[:2] + mods[3:6], repeat=3):
+        _assert_same_map(hom_evaluation_map(a, b, c),
+                         loop_hom_evaluation_map(a, b, c))

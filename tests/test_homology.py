@@ -181,6 +181,52 @@ def test_cached_resolution_arrays_are_read_only():
                 matrix[0, 0] = matrix[0, 0]
 
 
+def _resolution_parts(betti, augmentation, diffs):
+    """Betti numbers plus the shape and bytes of every matrix."""
+    parts = [repr(tuple(betti))]
+    for matrix in (augmentation.matrix,) + tuple(diffs):
+        parts += [repr(matrix.shape), np.ascontiguousarray(matrix).tobytes()]
+    return parts
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + [parse_ring(F4X)], ids=lambda r: r.name)
+def test_growing_resolution_gives_the_same_bytes(ring):
+    mods = [builtin_module(ring, name) for name in ("k", "R", "E")]
+    for m in mods + sample_modules(ring, 2, 61, max_dim=8):
+        clear_resolution_cache()
+        direct = minimal_free_resolution(m, 5)
+        clear_resolution_cache()
+        grown = [minimal_free_resolution(m, n) for n in (2, 5, 3)]
+        for res in grown:
+            n = len(res.diffs)
+            assert res.module is m
+            assert _resolution_parts(res.betti, res.augmentation,
+                                     res.diffs) == _resolution_parts(
+                direct.betti[:n + 1], direct.augmentation, direct.diffs[:n])
+            for matrix in res.diffs + (res.augmentation.matrix,):
+                with pytest.raises(ValueError):
+                    matrix[...] = 0
+
+
+def test_resolution_length_does_not_depend_on_the_cache():
+    k = builtin_module(RINGS["r5"], "k")
+    clear_resolution_cache()
+    for cached in (None, 2, 6):
+        if cached is not None:
+            minimal_free_resolution(k, cached)
+        for n in range(8):
+            res = minimal_free_resolution(k, n)
+            assert len(res.betti) == n + 1 and len(res.diffs) == n
+            assert res.betti == (1, 2, 4, 8, 16, 32, 64, 128)[:n + 1]
+    # the per-degree loop grows the same cached resolution
+    clear_resolution_cache()
+    assert list(itertools.islice(ext_degrees(k, k), 3)) == [1, 2, 4]
+    assert minimal_free_resolution(k, 1).betti == (1, 2)
+    assert minimal_free_resolution(k, 4).betti == (1, 2, 4, 8, 16)
+
+
 def reference_table_dims(m, n, bound, layout):
     """The whole table from one resolution of length bound+1, as Ext/Tor
     were computed before degrees were ranked one at a time."""

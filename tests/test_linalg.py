@@ -183,3 +183,35 @@ def test_elimination_matches_reference(inp):
         r, rk, piv_ref = reference_rref((vectors % p).T, p)
         assert np.array_equal(basis, r[:rk].T)
         assert pivots == piv_ref
+
+
+def reference_complement(basis, pivots, n, p):
+    """complement with per-index loops, as it was before it selected
+    columns of the identity."""
+    pivset = set(pivots)
+    comp = [j for j in range(n) if j not in pivset]
+    proj = linalg.zeros(len(comp), n)
+    for i, j in enumerate(comp):
+        proj[i, j] = 1
+    if len(pivots):
+        proj[:, pivots] = (proj[:, pivots] - basis[comp, :]) % p
+    sect = linalg.zeros(n, len(comp))
+    for i, j in enumerate(comp):
+        sect[j, i] = 1
+    return proj, sect, comp
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_complement_matches_reference(inp):
+    a, p = inp
+    basis, pivots = linalg.canon_basis(a % p, p)
+    got = linalg.complement(basis, pivots, a.shape[0], p)
+    want = reference_complement(basis, pivots, a.shape[0], p)
+    for g, w in zip(got[:2], want[:2]):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert got[2] == want[2]
+    proj, sect, _ = got
+    assert np.array_equal(proj @ sect % p, linalg.identity(sect.shape[1]))
+    assert not np.any(proj @ basis % p)

@@ -13,7 +13,7 @@ from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
                    regular_module, sample_modules, ses_from_submodule,
                    socle, submodule_generated, zero_module)
 from qdual import linalg
-from qdual.module import minimal_generators, span_closure
+from qdual.module import _as_columns, minimal_generators, span_closure
 from qdual.errors import (InvalidModuleMap, ModuleValidationError,
                           NotSubmodule)
 
@@ -123,8 +123,26 @@ def test_zero_module_is_first_class(r5):
     assert socle(z).shape == (0, 0)
 
 
-# minimal_generators without a closure loop: compared with the loop that
-# re-closes the span under the action after every kept candidate.
+# span_closure and minimal_generators without closure loops: compared
+# with the loops that re-close the span under the action until it stops
+# growing, and after every kept candidate.
+
+def closure_loop_span(module, vectors):
+    """span_closure as a fixpoint loop, kept verbatim as the reference."""
+    p = module.ring.p
+    vectors = _as_columns(vectors, module.dim, p)
+    basis, pivots = linalg.canon_basis(vectors, p)
+    while True:
+        if basis.shape[1] == 0:
+            return basis, pivots
+        images = [module.action[i] @ basis % p
+                  for i in range(module.ring.dim)]
+        stacked = np.concatenate([basis] + images, axis=1)
+        new_basis, new_pivots = linalg.canon_basis(stacked, p)
+        if new_basis.shape[1] == basis.shape[1]:
+            return new_basis, new_pivots
+        basis, pivots = new_basis, new_pivots
+
 
 def closure_loop_generators(module):
     p = module.ring.p
@@ -137,7 +155,7 @@ def closure_loop_generators(module):
         if linalg.in_span(span, span_piv, c, p):
             continue
         chosen.append(c)
-        span, span_piv = span_closure(
+        span, span_piv = closure_loop_span(
             module, np.concatenate([span, c], axis=1))
     if not chosen:
         return linalg.zeros(module.dim, 0)
@@ -232,6 +250,48 @@ def test_generators_over_residue_degree_one_are_the_whole_complement(ring):
         basis, pivots = linalg.canon_basis(radical_submodule(module), ring.p)
         _, sect, _ = linalg.complement(basis, pivots, module.dim, ring.p)
         assert np.array_equal(minimal_generators(module), sect)
+
+
+SPAN_RINGS = [corpus_ring(n) for n in ("r1", "r2", "r3", "r4", "r5", "r6")] \
+    + [parse_ring(F4X)]
+
+
+@st.composite
+def _span_inputs(draw):
+    """(module, vectors): a builtin, sample, zero or free module over
+    r1..r6 or F4X, and 0 to 4 columns that are zero, unit or random,
+    possibly repeated."""
+    ring = draw(st.sampled_from(SPAN_RINGS))
+    kind = draw(st.sampled_from(["0", "k", "R", "E", "sample", "free"]))
+    if kind == "sample":
+        module = sample_modules(ring, 1, draw(st.integers(0, 50)),
+                                max_dim=9)[0]
+    elif kind == "free":
+        module = free_module(ring, draw(st.integers(0, 2)))
+    else:
+        module = builtin_module(ring, kind)
+    n = module.dim
+    column = st.one_of(
+        st.just([0] * n),
+        st.integers(0, max(n - 1, 0)).map(
+            lambda i: [int(j == i) for j in range(n)]),
+        st.lists(st.integers(0, ring.p - 1), min_size=n, max_size=n))
+    cols = draw(st.lists(column, max_size=4))
+    if cols and draw(st.booleans()):
+        cols.append(cols[0])
+    return module, np.array(cols, dtype=np.int64).reshape(len(cols), n).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_inputs())
+def test_span_closure_matches_fixpoint_loop(case):
+    module, vectors = case
+    basis, pivots = span_closure(module, vectors)
+    want_basis, want_pivots = closure_loop_span(module, vectors)
+    assert basis.shape == want_basis.shape
+    assert basis.dtype == want_basis.dtype
+    assert np.array_equal(basis, want_basis)
+    assert pivots == want_pivots
 
 
 @st.composite
