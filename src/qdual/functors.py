@@ -77,12 +77,9 @@ def hom_module(m, n):
     constraint = constraint.reshape(ring.dim * nn * nm, nn * nm)
     basis, support = linalg.kernel_with_support(constraint, p)
     h = basis.shape[1]
-    action = np.zeros((ring.dim, h, h), dtype=np.int64)
-    for i in range(ring.dim):
-        # B_i X for every basis column X, read as an nn x nm matrix
-        image = (n.action[i] @ basis.reshape(nn, nm * h) % p).reshape(
-            nn * nm, h)
-        action[i] = image[support, :] if support else linalg.zeros(0, h)
+    # B_i X for every basis column X, read as an nn x nm matrix
+    action = (n.action @ basis.reshape(nn, nm * h) % p).reshape(
+        ring.dim, nn * nm, h)[:, support, :]
     module = Module(ring, h, action, check=False)
     return HomData(module, basis, support)
 

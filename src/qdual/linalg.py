@@ -2,14 +2,22 @@
 
 Matrices are plain numpy int64 arrays with entries reduced into [0, p).
 Zero-row and zero-column shapes are legal everywhere; the zero module
-upstream depends on that.  All pivoting is deterministic (leftmost pivot
-column, topmost nonzero row), so every derived basis is reproducible
-bit-for-bit.
+upstream depends on that.
 
-Elimination updates, at each pivot, only the rows with a nonzero entry
-in the pivot column; every other row would subtract zero, so the result
-is the same as rewriting the whole matrix, at a fraction of the cost on
-the sparse matrices resolutions produce.
+Every basis derives from `rref`, and the reduced row echelon form of a
+matrix is unique: it depends on the row space alone, not on how the
+elimination reached it.  So `rref` may pick its algorithm by p and every
+caller, basis-producing or rank-only, still gets the same bits.
+
+- p = 2: each row is packed into one Python int, column 0 the top bit,
+  and rows are added one at a time with XOR updates: the bit-packed
+  rows of M4RI (Albrecht, Bard & Hart, "Algorithm 898", ACM TOMS 2010)
+  without its Four Russians tables.
+- odd p: numpy elimination with the leftmost pivot column and the
+  topmost nonzero row.  Each pivot updates only the rows with a nonzero
+  entry in the pivot column; every other row would subtract zero, so
+  the result is the same as rewriting the whole matrix, at a fraction
+  of the cost on the sparse matrices resolutions produce.
 """
 
 from __future__ import annotations
@@ -39,16 +47,21 @@ def inv_mod(x, p):
 def rref(a, p):
     """Reduced row echelon form of `a` mod p.
 
-    Returns (R, rank, pivots).
+    Returns (R, rank, pivots): R is a new writable int64 array of the
+    shape of `a` whose rows below the rank are zero, and pivots lists
+    the pivot columns in increasing order.  R is the unique reduced row
+    echelon form of `a` mod p, whichever path computes it.
     """
-    r = np.array(a, dtype=np.int64) % p
+    r = np.asarray(a, dtype=np.int64) % p
+    if p == 2:
+        return _rref_gf2(r)
     rows, cols = r.shape
     pivots = []
     row = 0
     for col in range(cols):
         if row == rows:
             break
-        nz = np.flatnonzero(r[row:, col])
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         k = row + int(nz[0])
@@ -58,12 +71,53 @@ def rref(a, p):
             r[row] = r[row] * inv_mod(r[row, col], p) % p
         factors = r[:, col].copy()
         factors[row] = 0
-        hits = np.flatnonzero(factors)
+        hits = factors.nonzero()[0]
         if hits.size:
             r[hits] = (r[hits] - np.outer(factors[hits], r[row])) % p
         pivots.append(col)
         row += 1
     return r, len(pivots), pivots
+
+
+def _rref_gf2(r):
+    """`rref` of a 0/1 matrix over F_2, on rows packed into Python ints.
+
+    Row i becomes the int whose bits, top first, are the row followed
+    by zero padding to whole bytes, so column c is bit `width - 1 - c`.
+    Each pivot row is kept fully reduced: its top bit is its pivot and
+    it is zero in every other pivot column.  A new row is cleared of
+    the pivot bits it holds; if anything is left, its top bit is a new
+    pivot, and the row is XORed into the earlier pivot rows holding it.
+    """
+    rows, cols = r.shape
+    nbytes = -(-cols // 8)
+    width = 8 * nbytes
+    packed = np.packbits(r.astype(np.uint8), axis=1).tobytes()
+    reduced = {}  # pivot bit -> pivot row
+    held_mask = 0  # the pivot bits, as one int
+    for i in range(rows):
+        x = int.from_bytes(packed[i * nbytes:(i + 1) * nbytes], "big")
+        held = x & held_mask
+        while held:
+            bit = held.bit_length() - 1
+            x ^= reduced[bit]
+            held ^= 1 << bit
+        if not x:
+            continue
+        bit = x.bit_length() - 1
+        top = 1 << bit
+        for b, v in reduced.items():
+            if v & top:
+                reduced[b] = v ^ x
+        reduced[bit] = x
+        held_mask |= top
+    bits = sorted(reduced, reverse=True)
+    buf = b"".join(reduced[b].to_bytes(nbytes, "big") for b in bits)
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[:len(bits)] = np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8).reshape(len(bits), nbytes),
+        axis=1, count=cols)
+    return out, len(bits), [width - 1 - b for b in bits]
 
 
 def rank(a, p):

@@ -257,8 +257,7 @@ def quotient_module(module, subspace):
             raise NotSubmodule(
                 "subspace not closed under e%d" % i)
     proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
-    action = np.stack([proj @ module.action[i] @ sect % p
-                       for i in range(module.ring.dim)])
+    action = proj @ module.action @ sect % p
     quot = Module(module.ring, proj.shape[0], action, check=False)
     return quot, ModuleMap(module, quot, proj), sect
 

@@ -259,3 +259,32 @@ def test_natural_maps_match_loop_reference(ring):
     for a, b, c in itertools.product(mods[:2] + mods[3:6], repeat=3):
         _assert_same_map(hom_evaluation_map(a, b, c),
                          loop_hom_evaluation_map(a, b, c))
+
+
+def loop_hom_action(m, n, basis, support):
+    """hom_module's action, one ring basis element at a time, as it was
+    before one batched product replaced the loop."""
+    p = m.ring.p
+    nm, nn = m.dim, n.dim
+    h = basis.shape[1]
+    action = np.zeros((m.ring.dim, h, h), dtype=np.int64)
+    for i in range(m.ring.dim):
+        image = (n.action[i] @ basis.reshape(nn, nm * h) % p).reshape(
+            nn * nm, h)
+        action[i] = image[support, :] if support else linalg.zeros(0, h)
+    return action
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_hom_action_matches_loop_reference(ring):
+    mods = [builtin_module(ring, name) for name in ("0", "k", "R", "E")]
+    mods += sample_modules(ring, 3, 43, max_dim=6)
+    for a, b in itertools.product(mods, repeat=2):
+        hom = hom_module(a, b)
+        want = loop_hom_action(a, b, hom.basis, hom.support)
+        got = hom.module.action
+        assert got.shape == want.shape == (ring.dim,) + (hom.module.dim,) * 2
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -125,6 +125,22 @@ def reference_kernel_with_support(a, p):
     return k, free
 
 
+def reference_complement(basis, pivots, n, p):
+    """complement with per-index loops, as it was before it selected
+    columns of the identity."""
+    pivset = set(pivots)
+    comp = [j for j in range(n) if j not in pivset]
+    proj = linalg.zeros(len(comp), n)
+    for i, j in enumerate(comp):
+        proj[i, j] = 1
+    if len(pivots):
+        proj[:, pivots] = (proj[:, pivots] - basis[comp, :]) % p
+    sect = linalg.zeros(n, len(comp))
+    for i, j in enumerate(comp):
+        sect[j, i] = 1
+    return proj, sect, comp
+
+
 DIFF_PRIMES = (2, 3, 5, 65521)
 
 
@@ -165,12 +181,14 @@ def test_rref_matches_reference_on_edge_shapes():
             _assert_same_rref(linalg.rref(a, p), reference_rref(a, p))
 
 
-@settings(max_examples=300, deadline=None)
-@given(elimination_inputs())
-def test_elimination_matches_reference(inp):
-    a, p = inp
+def _assert_matches_reference(a, p):
+    """rref, rank, kernel_with_support, canon_basis and complement on `a`
+    against the references; `a` itself must come back unchanged."""
+    before = np.array(a)
     want = reference_rref(a, p)
-    _assert_same_rref(linalg.rref(a, p), want)
+    got = linalg.rref(a, p)
+    _assert_same_rref(got, want)
+    assert got[0].flags.writeable and not np.shares_memory(got[0], a)
     assert linalg.rank(a, p) == want[1]
 
     k, free = linalg.kernel_with_support(a, p)
@@ -183,22 +201,74 @@ def test_elimination_matches_reference(inp):
         r, rk, piv_ref = reference_rref((vectors % p).T, p)
         assert np.array_equal(basis, r[:rk].T)
         assert pivots == piv_ref
+        n = vectors.shape[0]
+        got_c = linalg.complement(basis, pivots, n, p)
+        want_c = reference_complement(r[:rk].T, piv_ref, n, p)
+        for g, w in zip(got_c[:2], want_c[:2]):
+            assert np.array_equal(g, w)
+        assert got_c[2] == want_c[2]
+    assert np.array_equal(a, before)
 
 
-def reference_complement(basis, pivots, n, p):
-    """complement with per-index loops, as it was before it selected
-    columns of the identity."""
-    pivset = set(pivots)
-    comp = [j for j in range(n) if j not in pivset]
-    proj = linalg.zeros(len(comp), n)
-    for i, j in enumerate(comp):
-        proj[i, j] = 1
-    if len(pivots):
-        proj[:, pivots] = (proj[:, pivots] - basis[comp, :]) % p
-    sect = linalg.zeros(n, len(comp))
-    for i, j in enumerate(comp):
-        sect[j, i] = 1
-    return proj, sect, comp
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_elimination_matches_reference(inp):
+    _assert_matches_reference(*inp)
+
+
+# Over F_2, rref packs each row into an int, padded with zero bits to
+# whole bytes.  These widths sit on both sides of the byte and 64-bit
+# word boundaries, and the inputs come in the layouts callers pass:
+# read-only (cached resolution matrices), transposed and sliced.
+
+PACKING_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 130)
+
+
+def _layouts(a):
+    """`a` as a C-contiguous, read-only, transposed and sliced array."""
+    readonly = a.copy()
+    readonly.setflags(write=False)
+    transposed = np.ascontiguousarray(a.T).T
+    padded = np.zeros((2 * a.shape[0], 2 * a.shape[1] + 1), dtype=a.dtype)
+    padded[::2, 1::2] = a
+    return a, readonly, transposed, padded[::2, 1::2]
+
+
+def test_gf2_packing_boundaries():
+    for w in PACKING_WIDTHS:
+        last = linalg.zeros(3, w)
+        last[1:, -1] = 1
+        for a in (np.ones((3, w), dtype=np.int64), last,
+                  np.triu(np.ones((w + 2, w), dtype=np.int64)),
+                  np.eye(w, dtype=np.int64)[::-1] * -1,
+                  np.tril(np.ones((2, w), dtype=np.int64), w - 2)):
+            for layout in _layouts(a):
+                _assert_matches_reference(layout, 2)
+
+
+@st.composite
+def gf2_inputs(draw):
+    """A tall or wide matrix at a packing width, of drawn rank and
+    density, with entries in [-4, 3] (only their parity counts)."""
+    cols = draw(st.sampled_from(PACKING_WIDTHS))
+    if draw(st.booleans()):
+        rows = cols + draw(st.integers(1, 12))
+    else:
+        rows = draw(st.integers(0, max(cols - 1, 0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = draw(st.integers(1, max(rows, cols, 1)))
+    density = draw(st.sampled_from((0.05, 0.3, 0.5)))
+    left = rng.random((rows, inner)) < density
+    right = rng.random((inner, cols)) < density
+    bits = (left.astype(np.int64) @ right.astype(np.int64)) % 2
+    a = bits + 2 * rng.integers(-2, 2, size=bits.shape)
+    return _layouts(a)[draw(st.integers(0, 3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_inputs())
+def test_gf2_elimination_matches_reference(a):
+    _assert_matches_reference(a, 2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -71,7 +71,7 @@ def test_not_submodule_rejected(r5):
     # the line through 1 is not an ideal
     vec = np.zeros((reg.dim, 1), dtype=np.int64)
     vec[0, 0] = 1
-    with pytest.raises(NotSubmodule):
+    with pytest.raises(NotSubmodule, match="not closed under e1$"):
         quotient_module(reg, vec)
 
 
@@ -353,3 +353,25 @@ def test_truncated_polynomial_ring_has_periodic_k():
     assert minimal_free_resolution(k, 7).betti == (1,) * 8
     assert ext_dims(k, k, 6).dims == (1,) * 7
     assert ext_dims_via_injective(k, k, 6).dims == (1,) * 7
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_quotient_action_matches_loop_reference(ring):
+    """quotient_module's one batched product against the per-element
+    products it replaced, for the zero, radical, socle and whole
+    submodules (zero-dimensional quotients included)."""
+    p = ring.p
+    mods = [builtin_module(ring, name) for name in ("0", "k", "R", "E")]
+    mods += sample_modules(ring, 3, 47, max_dim=6)
+    for m in mods:
+        for sub in (linalg.zeros(m.dim, 0), radical_submodule(m),
+                    socle(m), linalg.identity(m.dim)):
+            quot, proj, sect = quotient_module(m, sub)
+            want = np.stack([proj.matrix @ m.action[i] @ sect % p
+                             for i in range(ring.dim)])
+            assert quot.action.shape == want.shape
+            assert quot.action.shape == (ring.dim, quot.dim, quot.dim)
+            assert quot.action.dtype == want.dtype
+            assert np.array_equal(quot.action, want)
