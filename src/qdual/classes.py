@@ -8,11 +8,13 @@ one (label, verdict, witness) triple per condition.
 
 Vanishing is checked one degree at a time (`homology.ext_degrees`,
 `tor_degrees`), so each degree is ranked once and the first nonzero
-degree ends the check.  Inside `verdict_memo`, which `cli.run_verify`
-enters for the length of one call, the four predicate bodies
-(`_dualizing`, `is_derived_reflexive`, `in_bass_class`,
-`in_auslander_class`) are computed once per (predicate, module key
-bytes, bound); outside it every call computes afresh.
+degree ends the check.  Each predicate's conditions come from a body
+(`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
+returns them as a tuple of triples; inside `verdict_memo`, which
+`cli.run_verify` enters for the length of one call, a body runs once
+per (body, module key bytes, bound), so the semidualizing and
+quasidualizing predicates and same-bytes modules under other names
+share one entry.  Outside it every call computes afresh.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
 from .homology import ext_degrees, tor_degrees
-from .module import Module, regular_module
+from .module import regular_module
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -69,15 +71,16 @@ class CheckReport:
                            for label, _, witness in self.conditions]
 
 
-def _add_iso(report, label, f):
+def _iso(label, f):
     """One condition: the natural map f is an isomorphism."""
     iso, diag = is_isomorphism(f)
-    report.add(label, iso, "%dx%d, injective=%s, surjective=%s" % (
-        f.matrix.shape[0], f.matrix.shape[1],
-        diag["injective"], diag["surjective"]))
+    return (label, PASS if iso else FAIL,
+            "%dx%d, injective=%s, surjective=%s" % (
+                f.matrix.shape[0], f.matrix.shape[1],
+                diag["injective"], diag["surjective"]))
 
 
-def _vanishing(report, label, degrees, name, m, n, bound):
+def _vanishing(label, degrees, name, m, n, bound):
     """One condition: degrees 1..B of degrees(M, N) vanish; `name`
     formats the failing degree, as "Ext^%d"."""
     # each degree is ranked once, and a failure in low degree skips the
@@ -85,9 +88,8 @@ def _vanishing(report, label, degrees, name, m, n, bound):
     for i, d in enumerate(itertools.islice(degrees(m, n), 1, bound + 1),
                           start=1):
         if d:
-            report.add(label, False, "%s has dim %d" % (name % i, d))
-            return
-    report.add(label, True, "")
+            return (label, FAIL, "%s has dim %d" % (name % i, d))
+    return (label, PASS, "")
 
 
 # verdict memo of the current run_verify call, None outside one
@@ -106,103 +108,90 @@ def verdict_memo():
 
 
 def _memoized(body):
-    """Wrap a predicate so that, inside `verdict_memo`, each (predicate,
-    arguments) is computed once.  The key lists every parameter in the
-    body's order, defaults filled in and each Module as its exact key
-    bytes, so pred(k, e, 3) and pred(k, e, bound=3) share one entry.
-    Parameter names and defaults are read off the body once; a call the
-    body rejects goes to the body, which raises.  The memo holds
-    immutable (name, conditions) pairs; every hit builds a fresh
-    CheckReport, since reports are mutable (mark_vacuous)."""
-    code = body.__code__
-    names = code.co_varnames[:code.co_argcount]
-    defaults = dict(zip(names[::-1], (body.__defaults__ or ())[::-1]))
+    """Wrap a body(*modules, bound) that returns its conditions as an
+    immutable tuple of (label, verdict, witness) string triples so that,
+    inside `verdict_memo`, it runs once per (body, each module's key
+    bytes, bound).  Names play no part: the callers put the tuple in a
+    fresh CheckReport of their own."""
 
     @functools.wraps(body)
-    def predicate(*args, **kwargs):
+    def memoized(*args):
         memo = _memo.get()
         if memo is None:
-            return body(*args, **kwargs)
-        given = dict(zip(names, args))
-        call = {**defaults, **given, **kwargs}
-        if (len(args) > len(names) or given.keys() & kwargs.keys()
-                or call.keys() != set(names)):
-            return body(*args, **kwargs)
-        key = (body,) + tuple(a.key if isinstance(a, Module) else a
-                              for a in map(call.get, names))
-        verdict = memo.get(key)
-        if verdict is None:
-            report = body(*args, **kwargs)
-            memo[key] = (report.name, tuple(report.conditions))
-            return report
-        name, conditions = verdict
-        return CheckReport(name, call["bound"], list(conditions))
+            return body(*args)
+        key = (body, *(m.key for m in args[:-1]), args[-1])
+        if key not in memo:
+            memo[key] = body(*args)
+        return memo[key]
 
-    return predicate
+    return memoized
 
 
 @_memoized
-def _dualizing(name, finiteness, c, bound):
-    """The conditions both dualizing predicates share; `finiteness` is
-    the automatic finiteness hypothesis the report notes."""
-    report = CheckReport(name, bound)
-    report.note(finiteness, "automatic: finite length")
-    _add_iso(report, "homothety-iso", homothety_map(c))
-    _vanishing(report, "self-ext-vanishing", ext_degrees, "Ext^%d", c, c,
-               bound)
-    return report
+def _dualizing(c, bound):
+    """The conditions both dualizing predicates share."""
+    return (_iso("homothety-iso", homothety_map(c)),
+            _vanishing("self-ext-vanishing", ext_degrees, "Ext^%d", c, c,
+                       bound))
 
 
 def is_semidualizing(c, bound=DEFAULT_BOUND):
     """Homothety iso plus Ext^i(C, C) = 0 for 1 <= i <= B."""
-    return _dualizing("semidualizing(%s)" % (c.name or "C"),
-                      "finitely-generated", c, bound)
+    return CheckReport("semidualizing(%s)" % (c.name or "C"), bound, [
+        ("finitely-generated", PASS, "automatic: finite length"),
+        *_dualizing(c, bound)])
 
 
 def is_quasidualizing(t, bound=DEFAULT_BOUND):
     """Same conditions; the homothety target ring is its own completion
     since every ring here is artinian."""
-    return _dualizing("quasidualizing(%s)" % (t.name or "T"), "artinian",
-                      t, bound)
+    return CheckReport("quasidualizing(%s)" % (t.name or "T"), bound, [
+        ("artinian", PASS, "automatic: finite length"),
+        *_dualizing(t, bound)])
 
 
 @_memoized
+def _derived_reflexive(l, m, bound):
+    return (_iso("biduality-iso", biduality_map(l, m)),
+            _vanishing("ext(L,M)-vanishing", ext_degrees, "Ext^%d", l, m,
+                       bound),
+            _vanishing("ext(Hom(L,M),M)-vanishing", ext_degrees, "Ext^%d",
+                       hom_module(l, m).module, m, bound))
+
+
 def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
     """Biduality into Hom(Hom(L,M),M) iso and two Ext vanishings."""
-    report = CheckReport("derived-reflexive", bound)
-    _add_iso(report, "biduality-iso", biduality_map(l, m))
-    _vanishing(report, "ext(L,M)-vanishing", ext_degrees, "Ext^%d", l, m,
-               bound)
-    hom = hom_module(l, m)
-    _vanishing(report, "ext(Hom(L,M),M)-vanishing", ext_degrees, "Ext^%d",
-               hom.module, m, bound)
-    return report
+    return CheckReport("derived-reflexive", bound,
+                       list(_derived_reflexive(l, m, bound)))
 
 
 @_memoized
+def _bass(l, lp, bound):
+    return (_iso("evaluation-iso", evaluation_map(lp, l)),
+            _vanishing("ext(L',L)-vanishing", ext_degrees, "Ext^%d", lp, l,
+                       bound),
+            _vanishing("tor(L',Hom(L',L))-vanishing", tor_degrees,
+                       "Tor_%d", lp, hom_module(lp, l).module, bound))
+
+
 def in_bass_class(l, lp, bound=DEFAULT_BOUND):
     """Evaluation iso, Ext^i(L',L) = 0 and Tor_i(L',Hom(L',L)) = 0."""
-    report = CheckReport("bass-class", bound)
-    _add_iso(report, "evaluation-iso", evaluation_map(lp, l))
-    _vanishing(report, "ext(L',L)-vanishing", ext_degrees, "Ext^%d", lp, l,
-               bound)
-    hom = hom_module(lp, l)
-    _vanishing(report, "tor(L',Hom(L',L))-vanishing", tor_degrees, "Tor_%d",
-               lp, hom.module, bound)
-    return report
+    return CheckReport("bass-class", bound, list(_bass(l, lp, bound)))
 
 
 @_memoized
+def _auslander(l, lp, bound):
+    return (_iso("gamma-iso", gamma_map(lp, l)),
+            _vanishing("tor(L',L)-vanishing", tor_degrees, "Tor_%d", lp, l,
+                       bound),
+            _vanishing("ext(L',L'(x)L)-vanishing", ext_degrees, "Ext^%d",
+                       lp, tensor_module(lp, l).module, bound))
+
+
 def in_auslander_class(l, lp, bound=DEFAULT_BOUND):
     """Gamma iso, Tor_i(L',L) = 0 and Ext^i(L',L' (x) L) = 0."""
-    report = CheckReport("auslander-class", bound)
-    _add_iso(report, "gamma-iso", gamma_map(lp, l))
-    _vanishing(report, "tor(L',L)-vanishing", tor_degrees, "Tor_%d", lp, l,
-               bound)
-    tens = tensor_module(lp, l)
-    _vanishing(report, "ext(L',L'(x)L)-vanishing", ext_degrees, "Ext^%d", lp,
-               tens.module, bound)
-    return report
+    return CheckReport("auslander-class", bound,
+                       list(_auslander(l, lp, bound)))
 
 
 def check_duality_swap(x, bound=DEFAULT_BOUND):
@@ -218,8 +207,8 @@ def check_duality_swap(x, bound=DEFAULT_BOUND):
     dual = is_quasidualizing(matlis_dual(x), bound).passed
     report.add("semidualizing->dual-quasidualizing", dual)
     report.add("quasidualizing->dual-semidualizing", dual)
-    _add_iso(report, "involutivity-biduality-iso",
-             biduality_map(x, injective_hull(x.ring)))
+    report.conditions.append(_iso("involutivity-biduality-iso",
+                                  biduality_map(x, injective_hull(x.ring))))
     return report
 
 

@@ -44,8 +44,7 @@ class HomData:
             # Hom into or out of a zero space: every map is zero
             return linalg.zeros(0, flat.shape[1] if flat.ndim > 1 else 1)
         flat = linalg.as_fp(flat, p).reshape(self.basis.shape[0], -1)
-        coords = flat[self.support, :] if self.support else \
-            linalg.zeros(0, flat.shape[1])
+        coords = flat[self.support, :]
         if not np.array_equal(self.basis @ coords % p, flat):
             raise ArithmeticError("vector is not an R-linear map")
         return coords

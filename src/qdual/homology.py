@@ -6,8 +6,11 @@ so e_i acts on R^b as mult[i] on each copy's block of d rows; that
 kron(I_b, mult[i]) is never built.  Differentials are stored as field
 matrices between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
-v[c*d:(c+1)*d].  Each resolution degree is one kernel, one canonical
-basis of it, and one elimination for the syzygy's minimal generators.
+v[c*d:(c+1)*d].  Each resolution degree is four `rref` calls: one
+kernel, one canonical basis of it, and `minimal_generators` on the
+syzygy, which is one canonical basis of its radical and one elimination
+picking the generators.  A zero kernel (always, over a field) takes
+only the first.
 
 Each module has one growing resolution in a plain per-process dict
 keyed by the module, until `clear_resolution_cache`: its Betti list,

@@ -182,8 +182,8 @@ def canon_basis(vectors, p):
 
 def in_span(basis, pivots, vectors, p):
     """Whether every column of `vectors` lies in the canonical span."""
-    coords = vectors[pivots, :] if len(pivots) else zeros(0, vectors.shape[1])
-    return bool(np.array_equal(basis @ coords % p, as_fp(vectors, p)))
+    return bool(np.array_equal(basis @ vectors[pivots, :] % p,
+                               as_fp(vectors, p)))
 
 
 def complement(basis, pivots, n, p):

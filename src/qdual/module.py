@@ -224,20 +224,24 @@ def span_closure(module, vectors):
 def submodule_generated(module, vectors):
     """(submodule as a Module, inclusion ModuleMap)."""
     basis, pivots = span_closure(module, vectors)
-    return _submodule_from_canon(module, basis, pivots)
+    # R V is closed by construction; the inclusion's check confirms it
+    sub = Module(module.ring, basis.shape[1],
+                 (module.action @ basis % module.ring.p)[:, pivots, :],
+                 check=False)
+    return sub, ModuleMap(sub, module, basis)
 
 
-def _submodule_from_canon(module, basis, pivots):
+def _closed_subspace(module, subspace):
+    """(S, pivots, action) for an action-closed subspace: its canonical
+    basis S and the submodule action, e_i S = S action[i]."""
     p = module.ring.p
-    s = basis.shape[1]
-    action = np.zeros((module.ring.dim, s, s), dtype=np.int64)
-    for i in range(module.ring.dim):
-        image = module.action[i] @ basis % p
+    basis, pivots = linalg.canon_basis(
+        _as_columns(subspace, module.dim, p), p)
+    images = module.action @ basis % p
+    for i, image in enumerate(images):
         if not linalg.in_span(basis, pivots, image, p):
             raise NotSubmodule("subspace not closed under e%d" % i)
-        action[i] = image[pivots, :]
-    sub = Module(module.ring, s, action, check=False)
-    return sub, ModuleMap(sub, module, basis)
+    return basis, pivots, images[:, pivots, :]
 
 
 def quotient_module(module, subspace):
@@ -248,14 +252,11 @@ def quotient_module(module, subspace):
     proj @ sect = I and is the chosen splitting of the projection as
     linear maps (not as module maps).
     """
+    return _quotient(module, *_closed_subspace(module, subspace)[:2])
+
+
+def _quotient(module, basis, pivots):
     p = module.ring.p
-    basis, pivots = linalg.canon_basis(
-        _as_columns(subspace, module.dim, p), p)
-    for i in range(module.ring.dim):
-        if not linalg.in_span(basis, pivots,
-                              module.action[i] @ basis % p, p):
-            raise NotSubmodule(
-                "subspace not closed under e%d" % i)
     proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
     action = proj @ module.action @ sect % p
     quot = Module(module.ring, proj.shape[0], action, check=False)
@@ -274,9 +275,7 @@ def direct_sum(a, b):
 
 def ses_from_submodule(module, subspace):
     """Short exact sequence 0 -> S -> M -> M/S -> 0."""
-    p = module.ring.p
-    basis, pivots = linalg.canon_basis(
-        _as_columns(subspace, module.dim, p), p)
-    sub, incl = _submodule_from_canon(module, basis, pivots)
-    quot, proj, _ = quotient_module(module, basis)
-    return ShortExactSequence(incl, proj)
+    basis, pivots, action = _closed_subspace(module, subspace)
+    sub = Module(module.ring, basis.shape[1], action, check=False)
+    return ShortExactSequence(ModuleMap(sub, module, basis),
+                              _quotient(module, basis, pivots)[1])

@@ -227,6 +227,31 @@ def test_memo_keys_modules_by_their_bytes(monkeypatch):
     assert len(calls) == 1
 
 
+def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
+    ring = RINGS["r5"]
+    x, e = matlis_dual(regular_module(ring)), injective_hull(ring)
+    calls = _counting(monkeypatch, "homothety_map")
+    with classes.verdict_memo():
+        reports = [is_semidualizing(x), is_quasidualizing(x),
+                   is_quasidualizing(e)]
+        memo = classes._memo.get()
+    assert len(calls) == 1
+    # each report keeps its own name and finiteness note; the shared
+    # conditions follow it
+    assert [(r.name, r.conditions[0][0]) for r in reports] == [
+        ("semidualizing(%s)" % x.name, "finitely-generated"),
+        ("quasidualizing(%s)" % x.name, "artinian"),
+        ("quasidualizing(%s)" % e.name, "artinian")]
+    assert x.name != e.name
+    assert reports[0].conditions[1:] == reports[2].conditions[1:]
+    assert len(memo) == 1
+    for value in memo.values():
+        assert isinstance(value, tuple)
+        for triple in value:
+            assert isinstance(triple, tuple) and len(triple) == 3
+            assert all(isinstance(part, str) for part in triple)
+
+
 def test_no_memo_outlives_run_verify(monkeypatch):
     ring = RINGS["r3"]
     calls = _counting(monkeypatch, "biduality_map")
