@@ -10,26 +10,23 @@ Vanishing is checked one degree at a time (`homology.ext_degrees`,
 `tor_degrees`), so each degree is ranked once and the first nonzero
 degree ends the check.  Each predicate's conditions come from a body
 (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
-returns them as a tuple of triples; inside `verdict_memo`, which
-`cli.run_verify` enters for the length of one call, a body runs once
-per (body, module key bytes, bound), so the semidualizing and
+returns them as a tuple of triples and runs once per (body, module key
+bytes, bound) in the current `homology.memo`, so the semidualizing and
 quasidualizing predicates and same-bytes modules under other names
-share one entry.  Outside it every call computes afresh.
+share one entry.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
-from .homology import ext_degrees, tor_degrees
+from .homology import ext_degrees, memo, tor_degrees
 from .module import regular_module
 
 PASS = "PASS"
@@ -92,37 +89,20 @@ def _vanishing(label, degrees, name, m, n, bound):
     return (label, PASS, "")
 
 
-# verdict memo of the current run_verify call, None outside one
-_memo = contextvars.ContextVar("qdual_verdict_memo", default=None)
-
-
-@contextmanager
-def verdict_memo():
-    """Memoize predicate verdicts until the block is left, returning or
-    raising; outside such a block every call computes afresh."""
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
 def _memoized(body):
     """Wrap a body(*modules, bound) that returns its conditions as an
-    immutable tuple of (label, verdict, witness) string triples so that,
-    inside `verdict_memo`, it runs once per (body, each module's key
-    bytes, bound).  Names play no part: the callers put the tuple in a
+    immutable tuple of (label, verdict, witness) string triples so that
+    it runs once per (body, each module's key bytes, bound) in the
+    current memo.  Names play no part: the callers put the tuple in a
     fresh CheckReport of their own."""
 
     @functools.wraps(body)
     def memoized(*args):
-        memo = _memo.get()
-        if memo is None:
-            return body(*args)
+        facts = memo.get()
         key = (body, *(m.key for m in args[:-1]), args[-1])
-        if key not in memo:
-            memo[key] = body(*args)
-        return memo[key]
+        if key not in facts:
+            facts[key] = body(*args)
+        return facts[key]
 
     return memoized
 

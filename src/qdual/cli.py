@@ -111,11 +111,12 @@ def _suite_artinian_collapse(ring, bound, mods):
 
 
 def run_verify(ring, suites, bound, samples, seed):
-    """Returns (report text, exit code).  Each predicate verdict is
-    computed once per call; the memo is dropped when the call ends."""
-    mods = sample_modules(ring, samples, seed)
-    lines = []
-    with classes.verdict_memo():
+    """Returns (report text, exit code).  The whole call runs in a fresh
+    `homology.memo_scope`: each resolution and predicate verdict is
+    computed once per call, and none outlives it."""
+    with homology.memo_scope():
+        mods = sample_modules(ring, samples, seed)
+        lines = []
         for suite in suites:
             if suite == "two-of-three":
                 lines += _suite_two_of_three(ring, bound, samples, seed)

@@ -12,22 +12,26 @@ syzygy, which is one canonical basis of its radical and one elimination
 picking the generators.  A zero kernel (always, over a field) takes
 only the first.
 
-Each module has one growing resolution in a plain per-process dict
-keyed by the module, until `clear_resolution_cache`: its Betti list,
-its list of differentials and its augmentation.  `_resolution` appends
-degrees to those lists in place, never recomputing or copying one, and
-the Ext/Tor loops and the injective oracle index the lists directly;
-`minimal_free_resolution` returns a `FreeResolution` sliced from them.
-qdual is single-threaded, so the cache takes no lock.  Cached arrays
-are read-only, because every caller shares them.  Ext and Tor come
-from one loop that yields one degree at a time and extends the
-resolution only as far as the degrees asked for; `ext_dims`/`tor_dims`
-take its first bound+1 values.  Nothing else is cached here.
+One memo, the dict in the `memo` context variable, holds every derived
+fact, each a function of module bytes: resolution records under
+`module.key` and, from `classes`, predicate conditions under (body,
+module keys..., bound), a key shape that cannot collide with the first.
+Outside a run it is one process-level dict, emptied by
+`clear_resolution_cache`; `cli.run_verify` runs inside `memo_scope`,
+which swaps in a fresh dict, so nothing a run computes outlives it.
+A record is a Betti list, a list of differentials and an augmentation,
+which `_resolution` extends in place, never copying a degree; the
+Ext/Tor loops and the injective oracle index it directly.  qdual is
+single-threaded, so the memo takes no lock.  Cached arrays are
+read-only, because every caller shares them.  Ext and Tor come from one
+loop that yields one degree at a time, resolving only as far as asked.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +63,24 @@ class DimTable:
     dims: tuple
 
 
-# module key -> (betti list, diffs list, augmentation), grown in place
-_cache = {}
+# the current memo; its default is the process-level dict
+memo = contextvars.ContextVar("qdual_memo", default={})
+
+
+@contextmanager
+def memo_scope():
+    """Memoize into a fresh dict until the block is left, returning or
+    raising; the memo in force before is then restored."""
+    token = memo.set({})
+    try:
+        yield
+    finally:
+        memo.reset(token)
 
 
 def clear_resolution_cache():
-    _cache.clear()
+    """Empty the current memo, resolutions and verdicts alike."""
+    memo.get().clear()
 
 
 def minimal_free_resolution(module, length):
@@ -84,17 +100,18 @@ def _free_action(ring, x):
 
 
 def _resolution(module, length):
-    """The cached (betti, diffs, augmentation) of `module`, its lists
+    """The memoized (betti, diffs, augmentation) of `module`, its lists
     extended in place until diffs holds at least `length` differentials."""
     ring = module.ring
     p = ring.p
-    record = _cache.get(module.key)
+    facts = memo.get()
+    record = facts.get(module.key)
     if record is None:
         gens = minimal_generators(module)
         augmentation = ModuleMap(free_module(ring, gens.shape[1]), module,
                                  generator_images(module.action @ gens % p))
         augmentation.matrix.setflags(write=False)
-        record = _cache[module.key] = ([gens.shape[1]], [], augmentation)
+        record = facts[module.key] = ([gens.shape[1]], [], augmentation)
     betti, diffs, augmentation = record
     while len(diffs) < length:
         prev = diffs[-1] if diffs else augmentation.matrix
@@ -120,8 +137,6 @@ def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):
     """Ring-element blocks of a differential as an array of shape
     (prev_rank, cur_rank, d): d(gen j) = sum_c blocks[c, j] . gen_c."""
     d = ring.dim
-    if cur_rank == 0 or prev_rank == 0:
-        return np.zeros((prev_rank, cur_rank, d), dtype=np.int64)
     w = diff.reshape(prev_rank * d, cur_rank, d) @ ring.unit % ring.p
     return w.reshape(prev_rank, d, cur_rank).transpose(0, 2, 1)
 

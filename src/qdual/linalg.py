@@ -202,9 +202,3 @@ def complement(basis, pivots, n, p):
     proj[:, pivots] = -basis[comp, :] % p
     return proj, sect, comp
 
-
-def intersect_kernels(mats, n, p):
-    """Kernel basis of the stacked maps (whole space if none given)."""
-    if not mats:
-        return identity(n)
-    return kernel_basis(np.concatenate([as_fp(m, p) for m in mats], axis=0), p)

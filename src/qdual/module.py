@@ -148,22 +148,24 @@ def radical_submodule(module):
     return _radical_canon(module)[0]
 
 
+def _radical_actions(module):
+    """The actions of the radical basis elements, one (r, n, n) stack
+    read as stacked rows (r*n, n) and as side-by-side columns (n, r*n)."""
+    acts = np.tensordot(module.ring.radical.T, module.action,
+                        axes=(1, 0)) % module.ring.p
+    r, n, _ = acts.shape
+    return acts.reshape(r * n, n), acts.transpose(1, 0, 2).reshape(n, r * n)
+
+
 def _radical_canon(module):
-    """(canonical basis, pivots) of mM."""
-    rad = module.ring.radical
-    if rad.shape[1] == 0 or module.dim == 0:
-        return linalg.zeros(module.dim, 0), []
-    cols = np.concatenate(
-        [module.act(rad[:, j]) for j in range(rad.shape[1])], axis=1)
-    return linalg.canon_basis(cols, module.ring.p)
+    """(canonical basis, pivots) of mM, spanned by the radical actions."""
+    return linalg.canon_basis(_radical_actions(module)[1], module.ring.p)
 
 
 def socle(module):
     """Canonical basis of {m : mM kills m} (whole space if m = 0)."""
     p = module.ring.p
-    rad = module.ring.radical
-    mats = [module.act(rad[:, j]) for j in range(rad.shape[1])]
-    kern = linalg.intersect_kernels(mats, module.dim, p)
+    kern = linalg.kernel_basis(_radical_actions(module)[0], p)
     return linalg.canon_basis(kern, p)[0]
 
 
@@ -223,8 +225,12 @@ def span_closure(module, vectors):
 
 def submodule_generated(module, vectors):
     """(submodule as a Module, inclusion ModuleMap)."""
-    basis, pivots = span_closure(module, vectors)
     # R V is closed by construction; the inclusion's check confirms it
+    return _inclusion(module, *span_closure(module, vectors))
+
+
+def _inclusion(module, basis, pivots):
+    """(S, inclusion) for the canonical basis of a submodule S."""
     sub = Module(module.ring, basis.shape[1],
                  (module.action @ basis % module.ring.p)[:, pivots, :],
                  check=False)
@@ -232,16 +238,14 @@ def submodule_generated(module, vectors):
 
 
 def _closed_subspace(module, subspace):
-    """(S, pivots, action) for an action-closed subspace: its canonical
-    basis S and the submodule action, e_i S = S action[i]."""
+    """Canonical (basis, pivots) of an action-closed subspace."""
     p = module.ring.p
     basis, pivots = linalg.canon_basis(
         _as_columns(subspace, module.dim, p), p)
-    images = module.action @ basis % p
-    for i, image in enumerate(images):
+    for i, image in enumerate(module.action @ basis % p):
         if not linalg.in_span(basis, pivots, image, p):
             raise NotSubmodule("subspace not closed under e%d" % i)
-    return basis, pivots, images[:, pivots, :]
+    return basis, pivots
 
 
 def quotient_module(module, subspace):
@@ -252,10 +256,12 @@ def quotient_module(module, subspace):
     proj @ sect = I and is the chosen splitting of the projection as
     linear maps (not as module maps).
     """
-    return _quotient(module, *_closed_subspace(module, subspace)[:2])
+    return quotient_from_span(module, *_closed_subspace(module, subspace))
 
 
-def _quotient(module, basis, pivots):
+def quotient_from_span(module, basis, pivots):
+    """`quotient_module` by the canonical (basis, pivots) of a submodule,
+    as `span_closure` returns them; the projection's check confirms closure."""
     p = module.ring.p
     proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
     action = proj @ module.action @ sect % p
@@ -275,7 +281,10 @@ def direct_sum(a, b):
 
 def ses_from_submodule(module, subspace):
     """Short exact sequence 0 -> S -> M -> M/S -> 0."""
-    basis, pivots, action = _closed_subspace(module, subspace)
-    sub = Module(module.ring, basis.shape[1], action, check=False)
-    return ShortExactSequence(ModuleMap(sub, module, basis),
-                              _quotient(module, basis, pivots)[1])
+    return ses_from_span(module, *_closed_subspace(module, subspace))
+
+
+def ses_from_span(module, basis, pivots):
+    """`ses_from_submodule` for a submodule's (basis, pivots)."""
+    return ShortExactSequence(_inclusion(module, basis, pivots)[1],
+                              quotient_from_span(module, basis, pivots)[1])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import (free_module, quotient_module, ses_from_submodule,
+from .module import (free_module, quotient_from_span, ses_from_span,
                      span_closure)
 
 RETRY_LIMIT = 16
@@ -37,8 +37,7 @@ def random_module(ring, max_free_rank, seed):
         count = int(rng.integers(0, rank + 2))
         vectors = rng.integers(0, ring.p, size=(free.dim, count),
                                dtype=np.int64)
-        basis, _ = span_closure(free, vectors)
-        quot, _, _ = quotient_module(free, basis)
+        quot = quotient_from_span(free, *span_closure(free, vectors))[0]
         if quot.dim > 0:
             return quot
     return quot
@@ -59,5 +58,4 @@ def random_ses(ring, seed, max_dim=6):
                         _child_seed(seed, 0))
     count = int(rng.integers(0, 3))
     vectors = rng.integers(0, ring.p, size=(mid.dim, count), dtype=np.int64)
-    basis, _ = span_closure(mid, vectors)
-    return ses_from_submodule(mid, basis)
+    return ses_from_span(mid, *span_closure(mid, vectors))

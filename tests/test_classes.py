@@ -2,13 +2,14 @@
 
 import pytest
 
-from qdual import classes, cli
+from qdual import classes, cli, homology
 from qdual import (builtin_module, check_artinian_collapse,
                    check_class_equality, check_duality_swap,
                    check_hom_faithful, check_theorem_B, check_two_of_three,
-                   corpus_ring, in_auslander_class, in_bass_class,
-                   injective_hull, is_derived_reflexive, is_quasidualizing,
-                   is_semidualizing, matlis_dual, probe_tensor_faithful,
+                   clear_resolution_cache, corpus_ring, in_auslander_class,
+                   in_bass_class, injective_hull, is_derived_reflexive,
+                   is_quasidualizing, is_semidualizing, matlis_dual,
+                   minimal_free_resolution, probe_tensor_faithful,
                    random_ses, regular_module, sample_modules,
                    ses_from_submodule, socle, zero_module)
 from qdual.errors import NotQuasidualizing
@@ -176,7 +177,7 @@ def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
     k, e = builtin_module(ring, "k"), injective_hull(ring)
     args = (k,) if predicate is is_semidualizing else (k, e)
     calls = _counting(monkeypatch, natural_map)
-    with classes.verdict_memo():
+    with homology.memo_scope():
         first = predicate(*args, 3)
         want = (first.name, first.bound, list(first.conditions))
         verdict = first.verdict
@@ -191,7 +192,8 @@ def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
         assert len(calls) == 1             # the hits computed nothing
         predicate(*args, 2)                # the bound is part of the key
         assert len(calls) == 2
-    predicate(*args, 3)                    # no memo outside the block
+    with homology.memo_scope():            # a new scope recomputes
+        predicate(*args, 3)
     assert len(calls) == 3
 
 
@@ -199,7 +201,7 @@ def test_memo_binds_every_call_form_to_one_key(monkeypatch):
     ring = RINGS["r5"]
     k, e = builtin_module(ring, "k"), injective_hull(ring)
     calls = _counting(monkeypatch, "biduality_map")
-    with classes.verdict_memo():
+    with homology.memo_scope():
         for report in (is_derived_reflexive(k, e),
                        is_derived_reflexive(k, e, classes.DEFAULT_BOUND),
                        is_derived_reflexive(k, m=e),
@@ -218,7 +220,7 @@ def test_memo_binds_every_call_form_to_one_key(monkeypatch):
 def test_memo_keys_modules_by_their_bytes(monkeypatch):
     ring = RINGS["r5"]
     calls = _counting(monkeypatch, "biduality_map")
-    with classes.verdict_memo():
+    with homology.memo_scope():
         # R^v and E are different objects with the same action bytes
         is_derived_reflexive(builtin_module(ring, "k"),
                              matlis_dual(regular_module(ring)), 4)
@@ -231,10 +233,10 @@ def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
     ring = RINGS["r5"]
     x, e = matlis_dual(regular_module(ring)), injective_hull(ring)
     calls = _counting(monkeypatch, "homothety_map")
-    with classes.verdict_memo():
+    with homology.memo_scope():
         reports = [is_semidualizing(x), is_quasidualizing(x),
                    is_quasidualizing(e)]
-        memo = classes._memo.get()
+        memo = homology.memo.get()
     assert len(calls) == 1
     # each report keeps its own name and finiteness note; the shared
     # conditions follow it
@@ -244,8 +246,11 @@ def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
         ("quasidualizing(%s)" % e.name, "artinian")]
     assert x.name != e.name
     assert reports[0].conditions[1:] == reports[2].conditions[1:]
-    assert len(memo) == 1
-    for value in memo.values():
+    # the scope also holds resolution records, keyed by module keys;
+    # verdict keys start with the body
+    verdicts = [v for k, v in memo.items() if callable(k[0])]
+    assert len(verdicts) == 1
+    for value in verdicts:
         assert isinstance(value, tuple)
         for triple in value:
             assert isinstance(triple, tuple) and len(triple) == 3
@@ -255,19 +260,54 @@ def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
 def test_no_memo_outlives_run_verify(monkeypatch):
     ring = RINGS["r3"]
     calls = _counting(monkeypatch, "biduality_map")
+    process = homology.memo.get()
     runs = []
     for _ in range(2):
         cli.run_verify(ring, ["theorem-b", "class-equality"], 3, 2, 0)
-        assert classes._memo.get() is None
+        assert homology.memo.get() is process
         runs.append(len(calls))
     # the second run recomputes every verdict it memoized in the first
     assert runs[0] > 0 and runs[1] == 2 * runs[0]
 
     def broken(t, m, bound):
-        assert classes._memo.get() is not None
+        assert homology.memo.get() is not process
         raise RuntimeError("checker failed")
 
     monkeypatch.setattr(classes, "check_theorem_B", broken)
     with pytest.raises(RuntimeError):
         cli.run_verify(ring, ["theorem-b"], 3, 1, 0)
-    assert classes._memo.get() is None
+    assert homology.memo.get() is process
+
+
+def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
+    ring = RINGS["r3"]
+    k = builtin_module(ring, "k")
+    clear_resolution_cache()
+    minimal_free_resolution(k, 2)          # made outside any run
+    process = homology.memo.get()
+    before = list(process)
+    cli.run_verify(ring, ["two-of-three", "duality-swap"], 3, 2, 0)
+    assert list(process) == before
+    assert len(process[k.key][1]) == 2     # k's record was not extended
+
+    def broken(t, m, bound):
+        raise RuntimeError("checker failed")
+
+    monkeypatch.setattr(classes, "check_theorem_B", broken)
+    with pytest.raises(RuntimeError):
+        # two-of-three resolves and memoizes verdicts before theorem-b
+        cli.run_verify(ring, ["two-of-three", "theorem-b"], 3, 2, 0)
+    assert list(process) == before
+
+
+def test_clear_resolution_cache_also_empties_verdicts(monkeypatch):
+    ring = RINGS["r5"]
+    k = builtin_module(ring, "k")
+    calls = _counting(monkeypatch, "homothety_map")
+    clear_resolution_cache()
+    is_semidualizing(k, 2)
+    is_quasidualizing(k, 2)
+    assert len(calls) == 1                 # memoized outside a run too
+    clear_resolution_cache()
+    is_semidualizing(k, 2)
+    assert len(calls) == 2
