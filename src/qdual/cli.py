@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,15 +30,14 @@ SUITES = ("duality-swap", "theorem-b", "class-equality", "two-of-three",
 def load_ring(spec):
     if spec.startswith("corpus:"):
         return corpus_ring(spec[len("corpus:"):])
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_ring(fh.read())
+    return parse_ring(Path(spec).read_text(encoding="utf-8"))
 
 
 def load_module(spec, ring):
     if spec in ("R", "E", "k", "0"):
         return builtin_module(ring, spec)
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_module(fh.read(), {ring.name: ring})
+    return parse_module(Path(spec).read_text(encoding="utf-8"),
+                        {ring.name: ring})
 
 
 def _report_lines(suite, check_name, report):
@@ -277,7 +277,7 @@ def main(argv=None):
     except RingValidationError as exc:
         print("invalid ring (%s): %s" % (exc.law, exc), file=sys.stderr)
         return 1
-    except (UnknownRing, FileNotFoundError) as exc:
+    except (UnknownRing, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except QdualError as exc:

@@ -24,8 +24,8 @@ files:
 
 with exactly one `act i` line per ring basis index; rows are separated
 by `/`.
-`#` starts a comment; integers are whitespace separated and reduced
-mod p on load.
+`#` starts a comment; integers are whitespace separated, must fit in
+64 bits, and are reduced mod p on load.
 """
 
 from __future__ import annotations
@@ -46,10 +46,13 @@ def _logical_lines(text):
 
 def _parse_ints(value, lineno):
     try:
-        return [int(tok) for tok in value.split()]
+        ints = [int(tok) for tok in value.split()]
     except ValueError:
         raise ParseError("expected whitespace-separated integers, got %r"
                          % value, line=lineno)
+    if any(not -2 ** 63 <= n < 2 ** 63 for n in ints):
+        raise ParseError("integers must fit in 64 bits", line=lineno)
+    return ints
 
 
 def _split_assignment(line, lineno):

@@ -1,10 +1,10 @@
 """Minimal free resolutions, injective resolutions through duality, and
 Ext/Tor dimension tables with an independent cross-oracle.
 
-A free module R^b is coordinatized by (copy i, ring coord j) -> i*d + j,
-so e_i acts on R^b as mult[i] on each copy's block of d rows; that
-kron(I_b, mult[i]) is never built.  Differentials are stored as field
-matrices between those coordinates; the ring-coordinate block of column
+Free modules R^b keep the coordinates of `module.free_module`, and
+`module.free_action` applies e_i to columns of R^b without building
+kron(I_b, mult[i]).  Differentials are stored as field matrices
+between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
 v[c*d:(c+1)*d].  Each resolution degree is four `rref` calls: one
 kernel, one canonical basis of it, and `minimal_generators` on the
@@ -39,8 +39,8 @@ import numpy as np
 from . import linalg
 from .errors import NotAComplex, RingMismatch
 from .functors import matlis_dual
-from .module import (Module, ModuleMap, free_module, generator_images,
-                     minimal_generators)
+from .module import (Module, ModuleMap, free_action, free_module,
+                     generator_images, minimal_generators)
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,6 @@ def minimal_free_resolution(module, length):
                           tuple(diffs[:length]), augmentation)
 
 
-def _free_action(ring, x):
-    """The stack (e_i x) over the ring basis for columns x in R^b, i.e.
-    kron(I_b, mult[i]) @ x without the kron: mult[i] on each copy."""
-    rows, cols = x.shape
-    images = ring.mult[:, None] @ x.reshape(rows // ring.dim, ring.dim, cols)
-    return (images % ring.p).reshape(ring.dim, rows, cols)
-
-
 def _resolution(module, length):
     """The memoized (betti, diffs, augmentation) of `module`, its lists
     extended in place until diffs holds at least `length` differentials."""
@@ -123,10 +115,10 @@ def _resolution(module, length):
             # the syzygy module in K-coordinates; its minimal generators
             # are unit columns, so they select columns of the basis
             syzygy = Module(ring, basis.shape[1],
-                            _free_action(ring, basis)[:, pivots, :],
+                            free_action(ring, basis)[:, pivots, :],
                             check=False)
             gens = basis[:, minimal_generators(syzygy).argmax(axis=0)]
-            dmat = generator_images(_free_action(ring, gens))
+            dmat = generator_images(free_action(ring, gens))
         dmat.setflags(write=False)
         betti.append(dmat.shape[1] // ring.dim)
         diffs.append(dmat)

@@ -3,7 +3,9 @@
 A module is a vector space F_p^n together with one action matrix per
 ring basis element.  Everything downstream (Hom, tensor, duals,
 resolutions) is linear algebra on these matrices.  The zero module
-(dim 0) is a first-class value.
+(dim 0) is a first-class value.  Every quotient and sequence comes from
+`_quotient`, and only `free_module`, `free_action` and
+`generator_images` know the coordinate layout of a free module R^b.
 """
 
 from __future__ import annotations
@@ -129,18 +131,23 @@ def zero_module(ring):
 
 
 def regular_module(ring):
-    """The ring as a module over itself (cached per ring)."""
-    if ring._regular is None:
-        ring._regular = Module(ring, ring.dim, np.stack(list(ring.mult)),
-                               name="R", check=False)
-    return ring._regular
+    """The ring as a module over itself."""
+    return Module(ring, ring.dim, ring.mult, name="R", check=False)
 
 
 def free_module(ring, rank):
     """R^rank with coordinate (copy i, ring coord j) -> i*dim + j."""
     n = rank * ring.dim
-    action = linalg.eye_kron(rank, ring.mult).reshape(ring.dim, n, n)
-    return Module(ring, n, action, name="R^%d" % rank, check=False)
+    return Module(ring, n, free_action(ring, linalg.identity(n)),
+                  name="R^%d" % rank, check=False)
+
+
+def free_action(ring, x):
+    """The stack (e_i x) over the ring basis for columns x in R^b, i.e.
+    kron(I_b, mult[i]) @ x without the kron: mult[i] on each copy."""
+    rows, cols = x.shape
+    images = ring.mult[:, None] @ x.reshape(rows // ring.dim, ring.dim, cols)
+    return (images % ring.p).reshape(ring.dim, rows, cols)
 
 
 def radical_submodule(module):
@@ -209,64 +216,64 @@ def generator_images(images):
     return images.transpose(1, 2, 0).reshape(n, s * d)
 
 
-def span_closure(module, vectors):
-    """(canonical basis, pivots) of the submodule R V generated by the
-    columns V.
-
-    R V is spanned by V and its images e_i V under the ring basis, and a
-    canonical basis depends only on the span, so one elimination of
-    [V | e_0 V | ... | e_{d-1} V] gives it.
-    """
+def closure_generators(module, vectors):
+    """[V | e_0 V | ... | e_{d-1} V], unreduced: columns spanning the
+    submodule R V generated by the columns V."""
     p = module.ring.p
     vectors = _as_columns(vectors, module.dim, p)
-    images = module.action @ vectors % p
-    return linalg.canon_basis(np.concatenate([vectors, *images], axis=1), p)
+    return np.concatenate([vectors, *(module.action @ vectors % p)], axis=1)
+
+
+def span_closure(module, vectors):
+    """(canonical basis, pivots) of R V: a canonical basis depends only
+    on the span, so one elimination of `closure_generators` gives it."""
+    return linalg.canon_basis(closure_generators(module, vectors),
+                              module.ring.p)
 
 
 def submodule_generated(module, vectors):
     """(submodule as a Module, inclusion ModuleMap)."""
+    basis, pivots = span_closure(module, vectors)
+    sub = _submodule(module, basis, pivots)
     # R V is closed by construction; the inclusion's check confirms it
-    return _inclusion(module, *span_closure(module, vectors))
-
-
-def _inclusion(module, basis, pivots):
-    """(S, inclusion) for the canonical basis of a submodule S."""
-    sub = Module(module.ring, basis.shape[1],
-                 (module.action @ basis % module.ring.p)[:, pivots, :],
-                 check=False)
     return sub, ModuleMap(sub, module, basis)
 
 
-def _closed_subspace(module, subspace):
-    """Canonical (basis, pivots) of an action-closed subspace."""
+def _submodule(module, basis, pivots):
+    """The submodule with canonical basis `basis`, in its coordinates."""
+    return Module(module.ring, basis.shape[1],
+                  (module.action @ basis % module.ring.p)[:, pivots, :],
+                  check=False)
+
+
+def _quotient(module, subspace):
+    """(basis, pivots, quotient, projection, section) of M/S, with
+    (basis, pivots) the canonical basis of S.
+
+    M/S acts by A'_i = proj A_i sect, and proj A_i - A'_i proj = proj
+    A_i (I - sect proj), where I - sect proj projects onto S along the
+    complement.  So proj A_i = A'_i proj exactly when A_i S lies in S:
+    one batched comparison checks closure and the projection."""
     p = module.ring.p
     basis, pivots = linalg.canon_basis(
         _as_columns(subspace, module.dim, p), p)
-    for i, image in enumerate(module.action @ basis % p):
-        if not linalg.in_span(basis, pivots, image, p):
-            raise NotSubmodule("subspace not closed under e%d" % i)
-    return basis, pivots
+    proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
+    left = proj @ module.action % p
+    action = left @ sect % p
+    unclosed = np.any(left != action @ proj % p, axis=(1, 2))
+    if unclosed.any():
+        raise NotSubmodule("subspace not closed under e%d" % unclosed.argmax())
+    quot = Module(module.ring, proj.shape[0], action, check=False)
+    projmap = ModuleMap(module, quot, proj, check=False)
+    return basis, pivots, quot, projmap, sect
 
 
 def quotient_module(module, subspace):
-    """(quotient Module, projection ModuleMap, section matrix).
-
-    The subspace must be action-closed; the quotient basis is the
-    deterministic rref-pivot complement.  The section satisfies
-    proj @ sect = I and is the chosen splitting of the projection as
-    linear maps (not as module maps).
-    """
-    return quotient_from_span(module, *_closed_subspace(module, subspace))
-
-
-def quotient_from_span(module, basis, pivots):
-    """`quotient_module` by the canonical (basis, pivots) of a submodule,
-    as `span_closure` returns them; the projection's check confirms closure."""
-    p = module.ring.p
-    proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
-    action = proj @ module.action @ sect % p
-    quot = Module(module.ring, proj.shape[0], action, check=False)
-    return quot, ModuleMap(module, quot, proj), sect
+    """(quotient Module, projection ModuleMap, section matrix) of M by
+    an action-closed subspace, on the deterministic rref-pivot
+    complement; proj @ sect = I splits the projection as linear maps
+    (not as module maps)."""
+    return _quotient(module, subspace)[2:]
 
 
 def direct_sum(a, b):
@@ -281,10 +288,8 @@ def direct_sum(a, b):
 
 def ses_from_submodule(module, subspace):
     """Short exact sequence 0 -> S -> M -> M/S -> 0."""
-    return ses_from_span(module, *_closed_subspace(module, subspace))
-
-
-def ses_from_span(module, basis, pivots):
-    """`ses_from_submodule` for a submodule's (basis, pivots)."""
-    return ShortExactSequence(_inclusion(module, basis, pivots)[1],
-                              quotient_from_span(module, basis, pivots)[1])
+    basis, pivots, _, proj, _ = _quotient(module, subspace)
+    # the quotient has just checked that S is closed
+    incl = ModuleMap(_submodule(module, basis, pivots), module, basis,
+                     check=False)
+    return ShortExactSequence(incl, proj)

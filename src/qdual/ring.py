@@ -30,7 +30,7 @@ class Ring:
 
     __slots__ = (
         "name", "p", "dim", "unit", "struct", "mult",
-        "radical", "radical_pivots", "residue_degree", "key", "_regular",
+        "radical", "radical_pivots", "residue_degree", "key",
     )
 
     def __init__(self, name, p, dim, unit, struct, mult, radical,
@@ -45,7 +45,6 @@ class Ring:
         self.radical_pivots = radical_pivots
         self.residue_degree = residue_degree
         self.key = (p, dim, unit.tobytes(), struct.tobytes())
-        self._regular = None
 
     def __repr__(self):
         return "Ring(%s: F_%d, dim %d)" % (self.name, self.p, self.dim)

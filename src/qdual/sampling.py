@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .module import (free_module, quotient_from_span, ses_from_span,
-                     span_closure)
+from .module import (closure_generators, free_module, quotient_module,
+                     ses_from_submodule)
 
 RETRY_LIMIT = 16
 
@@ -37,7 +37,7 @@ def random_module(ring, max_free_rank, seed):
         count = int(rng.integers(0, rank + 2))
         vectors = rng.integers(0, ring.p, size=(free.dim, count),
                                dtype=np.int64)
-        quot = quotient_from_span(free, *span_closure(free, vectors))[0]
+        quot = quotient_module(free, closure_generators(free, vectors))[0]
         if quot.dim > 0:
             return quot
     return quot
@@ -58,4 +58,4 @@ def random_ses(ring, seed, max_dim=6):
                         _child_seed(seed, 0))
     count = int(rng.integers(0, 3))
     vectors = rng.integers(0, ring.p, size=(mid.dim, count), dtype=np.int64)
-    return ses_from_span(mid, *span_closure(mid, vectors))
+    return ses_from_submodule(mid, closure_generators(mid, vectors))

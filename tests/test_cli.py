@@ -38,6 +38,24 @@ def test_check_ring_missing_file():
     assert code == 2
 
 
+def test_check_ring_on_a_directory_is_an_error(tmp_path):
+    code, out, err = run_cli(["check-ring", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["check-ring"],
+                                  ["dual", "--ring", "corpus:r3"]])
+def test_non_utf8_file_is_an_error(tmp_path, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe[ring]\n")
+    code, out, err = run_cli(argv + [str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dual_prints_module_file(tmp_path):
     code, out, _ = run_cli(["dual", "--ring", "corpus:r3", "R"])
     assert code == 0

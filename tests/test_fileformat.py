@@ -123,3 +123,32 @@ def test_huge_dim_rejected_before_allocating(tmp_path):
     path.write_text("[ring]\nname = huge\np = 2\ndim = %d\nunit = 1%s\n"
                     "mul 0 0 = 1%s\n" % (dim, zeros, zeros))
     assert cli.main(["check-ring", str(path)]) == 2
+
+
+@pytest.mark.parametrize("old,new", [
+    ("mul 0 0 = 1 0", "mul 0 0 = %d 0" % 10 ** 30),
+    ("unit = 1 0", "unit = %d 0" % (2 ** 63 + 1)),
+    ("mul 1 1 = 0 0", "mul 1 1 = 0 %d" % -(2 ** 63 + 1))],
+    ids=["mul", "unit", "negative"])
+def test_ring_integers_beyond_64_bits_rejected(old, new):
+    text = corpus_source("r3")
+    lineno = text.splitlines().index(old) + 1
+    with pytest.raises(ParseError, match="must fit in 64 bits") as info:
+        parse_ring(text.replace(old, new))
+    assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("entry", [10 ** 30, -10 ** 30, 2 ** 63])
+def test_module_integers_beyond_64_bits_rejected(entry):
+    ring = corpus_ring("r3")
+    text = "[module]\nname = k\nring = r3\ndim = 1\nact 0 = 1\nact 1 = %d\n"
+    with pytest.raises(ParseError, match="must fit in 64 bits") as info:
+        parse_module(text % entry, {"r3": ring})
+    assert info.value.line == 6
+
+
+def test_64_bit_extremes_are_reduced_mod_p():
+    ring = corpus_ring("r3")
+    text = "[module]\nname = k\nring = r3\ndim = 1\nact 0 = %d\nact 1 = %d\n"
+    module = parse_module(text % (2 ** 63 - 1, -2 ** 63), {"r3": ring})
+    assert module.key == builtin_module(ring, "k").key

@@ -127,6 +127,20 @@ def _exit_code(argv):
 @example((["check-ring", "ring.txt"],
           {"ring.txt": corpus_source("r3").replace("p = 2",
                                                    "p = %d" % (2 ** 61 - 1))}))
+# integers beyond int64 in a mul, unit or act line used to raise
+# OverflowError when stored
+@example((["check-ring", "ring.txt"],
+          {"ring.txt": corpus_source("r3").replace(
+              "mul 0 0 = 1 0", "mul 0 0 = %d 0" % 10 ** 30)}))
+@example((["check-ring", "ring.txt"],
+          {"ring.txt": corpus_source("r3").replace(
+              "unit = 1 0", "unit = %d 0" % 10 ** 30)}))
+@example((["dual", "--ring", "corpus:r3", "mod.txt"],
+          {"mod.txt": _module_text("r3").replace(
+              "act 0 = 1", "act 0 = %d" % 10 ** 30)}))
+@example((["dual", "--ring", "corpus:r3", "mod.txt"],
+          {"mod.txt": _module_text("r3").replace(
+              "act 1 = 0", "act 1 = %d" % -10 ** 30)}))
 def test_main_exits_0_1_or_2_and_never_raises(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -316,7 +316,7 @@ def test_broadcast_kron_products_match_np_kron(case):
     for i in range(k):
         assert np.array_equal(left[i], np.kron(eye, mats[i]))
         assert np.array_equal(right[i], np.kron(mats[i], eye))
-    # free_module relies on the products staying reduced mod p
+    # products of entries in [0, p) with 0 and 1 stay reduced mod p
     assert left.dtype == right.dtype == np.int64
     assert not np.any(left >= p) and not np.any(right >= p)
 
@@ -375,3 +375,87 @@ def test_quotient_action_matches_loop_reference(ring):
             assert quot.action.shape == (ring.dim, quot.dim, quot.dim)
             assert quot.action.dtype == want.dtype
             assert np.array_equal(quot.action, want)
+
+
+# one quotient path: compared with the closure loop it replaced and with
+# checked constructions of the quotient, the projection and the inclusion
+
+def closed_subspace_loop(module, subspace):
+    """The deleted `_closed_subspace`, kept verbatim as the reference."""
+    p = module.ring.p
+    basis, pivots = linalg.canon_basis(
+        _as_columns(subspace, module.dim, p), p)
+    for i, image in enumerate(module.action @ basis % p):
+        if not linalg.in_span(basis, pivots, image, p):
+            raise NotSubmodule("subspace not closed under e%d" % i)
+    return basis, pivots
+
+
+def reference_quotient(module, basis, pivots):
+    """(S, inclusion, M/S, projection, section) with every map checked."""
+    p = module.ring.p
+    sub = Module(module.ring, basis.shape[1],
+                 np.stack([a @ basis % p for a in module.action])[:, pivots],
+                 name="S")
+    proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
+    quot = Module(module.ring, proj.shape[0],
+                  np.stack([proj @ a @ sect % p for a in module.action]))
+    return (sub, ModuleMap(sub, module, basis), quot,
+            ModuleMap(module, quot, proj), sect)
+
+
+def _quotient_subjects(ring, seed):
+    """(module, subspace) pairs: the zero, radical, socle and whole
+    subspaces of several modules, and seeded random subspaces, most of
+    them not closed under the action."""
+    rng = np.random.default_rng(seed)
+    mods = [builtin_module(ring, name) for name in ("0", "k", "R", "E")]
+    mods += [free_module(ring, 2)] + sample_modules(ring, 3, seed, max_dim=8)
+    for m in mods:
+        for sub in (linalg.zeros(m.dim, 0), radical_submodule(m), socle(m),
+                    linalg.identity(m.dim)):
+            yield m, sub
+        for count in (1, 1, 2, 3):
+            yield m, rng.integers(0, ring.p, size=(m.dim, count),
+                                  dtype=np.int64)
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS[:6], ids=lambda r: r.name)
+def test_quotient_and_ses_match_closure_loop_reference(ring):
+    rejected = accepted = 0
+    for module, subspace in _quotient_subjects(ring, 13):
+        try:
+            basis, pivots = closed_subspace_loop(module, subspace)
+        except NotSubmodule as exc:
+            rejected += 1
+            for build in (quotient_module, ses_from_submodule):
+                with pytest.raises(NotSubmodule) as info:
+                    build(module, subspace)
+                assert str(info.value) == str(exc)
+            continue
+        accepted += 1
+        sub, incl, quot, proj, sect = reference_quotient(module, basis,
+                                                         pivots)
+        got_quot, got_proj, got_sect = quotient_module(module, subspace)
+        ses = ses_from_submodule(module, subspace)
+        assert ses.sub.target is ses.quot.source is module
+        for got, want in ((got_quot, quot), (ses.quot.target, quot),
+                          (ses.sub.source, sub)):
+            assert got.key == want.key
+        for got, want in ((got_proj, proj), (ses.quot, proj),
+                          (ses.sub, incl)):
+            assert got.matrix.dtype == want.matrix.dtype
+            assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got_sect, sect)
+    # every subspace is closed over a field (r1); elsewhere both occur
+    assert accepted and (rejected or ring.dim == 1)
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: r.name)
+def test_free_module_action_is_kron_with_identity(ring):
+    for rank in range(4):
+        action = free_module(ring, rank).action
+        assert action.dtype == np.int64
+        for i in range(ring.dim):
+            want = np.kron(np.eye(rank, dtype=np.int64), ring.mult[i])
+            assert np.array_equal(action[i], want)
