@@ -6,7 +6,10 @@ Unbounded Ext/Tor vanishing is replaced by vanishing in degrees
 the same bound, so the bounded biconditionals are exact.  Reports carry
 one (label, verdict, witness) triple per condition.
 
-Vanishing is checked one degree at a time (`homology.ext_degrees`,
+A vanishing that structure forces (`homology.forces_vanishing`: M is
+free, or N is injective for Ext or free for Tor) passes before any
+degree is ranked, with the condition the degree loop would return.  Any
+other vanishing is checked one degree at a time (`homology.ext_degrees`,
 `tor_degrees`), so each degree is ranked once and the first nonzero
 degree ends the check.  Each predicate's conditions come from a body
 (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
@@ -26,7 +29,7 @@ from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
-from .homology import ext_degrees, memo, tor_degrees
+from .homology import ext_degrees, forces_vanishing, memo, tor_degrees
 from .module import regular_module
 
 PASS = "PASS"
@@ -80,8 +83,10 @@ def _iso(label, f):
 def _vanishing(label, degrees, name, m, n, bound):
     """One condition: degrees 1..B of degrees(M, N) vanish; `name`
     formats the failing degree, as "Ext^%d"."""
-    # each degree is ranked once, and a failure in low degree skips the
-    # expensive tail of the resolution
+    # a forced vanishing ranks no degree; otherwise each degree is ranked
+    # once, and the first nonzero one ends the loop
+    if forces_vanishing(degrees, m, n):
+        return (label, PASS, "")
     for i, d in enumerate(itertools.islice(degrees(m, n), 1, bound + 1),
                           start=1):
         if d:

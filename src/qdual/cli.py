@@ -27,17 +27,25 @@ SUITES = ("duality-swap", "theorem-b", "class-equality", "two-of-three",
           "hom-faithful", "tensor-probe", "artinian-collapse")
 
 
+def _read_text(path):
+    """The file's text; a file that is not UTF-8 is an OSError naming
+    the file, as an unreadable one is."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError("%s: not UTF-8 (%s)" % (path, exc)) from None
+
+
 def load_ring(spec):
     if spec.startswith("corpus:"):
         return corpus_ring(spec[len("corpus:"):])
-    return parse_ring(Path(spec).read_text(encoding="utf-8"))
+    return parse_ring(_read_text(spec))
 
 
 def load_module(spec, ring):
     if spec in ("R", "E", "k", "0"):
         return builtin_module(ring, spec)
-    return parse_module(Path(spec).read_text(encoding="utf-8"),
-                        {ring.name: ring})
+    return parse_module(_read_text(spec), {ring.name: ring})
 
 
 def _report_lines(suite, check_name, report):
@@ -277,7 +285,7 @@ def main(argv=None):
     except RingValidationError as exc:
         print("invalid ring (%s): %s" % (exc.law, exc), file=sys.stderr)
         return 1
-    except (UnknownRing, OSError, UnicodeDecodeError) as exc:
+    except (UnknownRing, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except QdualError as exc:

@@ -25,6 +25,12 @@ Ext/Tor loops and the injective oracle index it directly.  qdual is
 single-threaded, so the memo takes no lock.  Cached arrays are
 read-only, because every caller shares them.  Ext and Tor come from one
 loop that yields one degree at a time, resolving only as far as asked.
+
+`forces_vanishing` certifies Ext/Tor vanishing in every degree >= 1
+from structure alone, reading b_0 from degree 0 of the memoized
+resolution, so it adds no memo key.  `ext_dims`, `tor_dims` and the
+degree loops use no certificate: they stay the oracle it is tested
+against.
 """
 
 from __future__ import annotations
@@ -159,6 +165,16 @@ def _induced_ranks(m, n, layout):
         shape = mat.shape
         mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
         yield betti[i] * n.dim, linalg.rank(mat, p)
+
+
+def forces_vanishing(degrees, m, n):
+    """True when structure alone makes degrees(M, N) vanish in every
+    degree >= 1: M is free, or N is injective (Ext) or free (Tor).  Over
+    a local ring X is free exactly when dim X = b_0 . dim R, and N is
+    injective exactly when N^v is free (N = E^s iff N^v = R^s)."""
+    if degrees is ext_degrees:
+        n = matlis_dual(n)
+    return any(x.dim == _resolution(x, 0)[0][0] * x.ring.dim for x in (m, n))
 
 
 def ext_degrees(m, n):

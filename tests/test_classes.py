@@ -229,6 +229,28 @@ def test_memo_keys_modules_by_their_bytes(monkeypatch):
     assert len(calls) == 1
 
 
+def test_forced_vanishing_ranks_no_degree(monkeypatch):
+    # over r5, E is injective, so both Ext conditions of G_E(k) are forced
+    r5 = RINGS["r5"]
+    k, e = builtin_module(r5, "k"), injective_hull(r5)
+    ranked = []
+    induced_ranks = homology._induced_ranks
+
+    def counted(*args):
+        ranked.append(args)
+        return induced_ranks(*args)
+
+    monkeypatch.setattr(homology, "_induced_ranks", counted)
+    with homology.memo_scope():
+        forced = is_derived_reflexive(k, e, 4).conditions
+    assert ranked == []
+    # the degree loop alone gives the same conditions
+    monkeypatch.setattr(classes, "forces_vanishing", lambda *args: False)
+    with homology.memo_scope():
+        assert is_derived_reflexive(k, e, 4).conditions == forced
+    assert ranked
+
+
 def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
     ring = RINGS["r5"]
     x, e = matlis_dual(regular_module(ring)), injective_hull(ring)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from qdual import cli, corpus_ring
+from qdual import (builtin_module, cli, corpus_ring, serialize_module,
+                   serialize_ring)
 
 
 def run_cli(argv):
@@ -54,6 +55,22 @@ def test_non_utf8_file_is_an_error(tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_non_utf8_error_names_the_file_at_fault(tmp_path):
+    r3 = corpus_ring("r3")
+    texts = {tmp_path / "ring.txt": serialize_ring(r3),
+             tmp_path / "mod.txt": serialize_module(builtin_module(r3, "k"))}
+    ring, module = texts
+    for bad in texts:
+        for path, text in texts.items():
+            path.write_text(text, encoding="utf-8")
+        bad.write_bytes(b"\xff\xfe\n")
+        code, out, err = run_cli(["dual", "--ring", str(ring), str(module)])
+        assert (code, out) == (2, "")
+        good = module if bad is ring else ring
+        assert str(bad) in err and str(good) not in err
 
 
 def test_dual_prints_module_file(tmp_path):

@@ -8,14 +8,15 @@ import pytest
 from test_module import F4X
 
 from qdual import (builtin_module, clear_resolution_cache,
-                   complex_homology, corpus_ring, ext_dims,
-                   ext_dims_via_injective, injective_resolution,
+                   complex_homology, corpus_ring, direct_sum, ext_dims,
+                   ext_dims_via_injective, free_module, injective_resolution,
                    linalg, matlis_dual, minimal_free_resolution,
-                   parse_ring, regular_module, sample_modules, tor_dims,
-                   zero_module)
+                   parse_ring, regular_module, sample_modules, socle,
+                   tor_dims, zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import NotAComplex, RingMismatch
-from qdual.homology import _generator_ring_blocks, ext_degrees, tor_degrees
+from qdual.homology import (_generator_ring_blocks, ext_degrees,
+                            forces_vanishing, tor_degrees)
 
 RINGS = {name: corpus_ring(name) for name in ("r3", "r4", "r5", "r6")}
 
@@ -281,6 +282,50 @@ def test_per_degree_loop_checks_rings_before_iterating():
         with pytest.raises(RingMismatch):
             degrees(k3, k5)
 
+
+
+def _free(x):
+    # Tor of X against itself is forced exactly when X is free
+    return forces_vanishing(tor_degrees, x, x)
+
+
+def _injective(x):
+    # Ext from X^v into X is forced exactly when X^v is free, that is,
+    # when X is injective
+    return forces_vanishing(ext_degrees, matlis_dual(x), x)
+
+
+@pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "r5", "r6"])
+def test_forced_vanishing_agrees_with_the_tables(name):
+    ring = corpus_ring(name)
+    bound = 6 if name == "r5" else 8
+    e = builtin_module(ring, "E")
+    mods = [builtin_module(ring, s) for s in ("0", "k", "R", "E")] + [
+        free_module(ring, 2), direct_sum(e, e)] + sample_modules(ring, 4, 7)
+    fired_beyond_free = 0
+    for (m, n), (degrees, dims) in itertools.product(
+            itertools.product(mods, repeat=2),
+            ((ext_degrees, ext_dims), (tor_degrees, tor_dims))):
+        if forces_vanishing(degrees, m, n):
+            assert dims(m, n, bound).dims[1:] == (0,) * bound
+            fired_beyond_free += not _free(m)
+    # over a field every module is free; elsewhere the certificate is
+    # more than "M is free"
+    assert fired_beyond_free > 0 or name in ("r1", "r2")
+
+
+@pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "r5", "r6"])
+def test_free_and_injective_in_closed_form(name):
+    ring = corpus_ring(name)
+    k, r, e = (builtin_module(ring, s) for s in ("k", "R", "E"))
+    assert all(_free(free_module(ring, b)) for b in range(4))
+    assert _injective(e) and _injective(direct_sum(e, e))
+    # R is self-injective exactly on the Gorenstein rings
+    assert _injective(r) == (name != "r5")
+    if name == "r5":
+        assert socle(r).shape[1] == 2
+    if name not in ("r1", "r2"):
+        assert not _free(k) and not _injective(k)
 
 # sha256 over the betti numbers, the augmentation matrix and every
 # differential of minimal_free_resolution(m, 5) for k, R, E and eight
