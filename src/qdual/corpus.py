@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import UnknownRing
 from .fileformat import parse_ring
 from .functors import injective_hull
-from .module import (quotient_module, radical_submodule, regular_module,
-                     zero_module)
+from .module import (Module, quotient_module, radical_submodule,
+                     regular_module, zero_module)
 
 SOURCES = {
     # the prime field F_2
@@ -133,9 +133,8 @@ def builtin_module(ring, name):
         return injective_hull(ring)
     if name == "k":
         reg = regular_module(ring)
-        mod, _, _ = quotient_module(reg, radical_submodule(reg))
-        mod.name = "k"
-        return mod
+        k = quotient_module(reg, radical_submodule(reg))[0]
+        return Module(ring, k.dim, k.action, name="k", check=False)
     if name == "0":
         return zero_module(ring)
     raise UnknownRing("no builtin module named %r" % name)

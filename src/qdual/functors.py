@@ -44,10 +44,9 @@ class HomData:
             # Hom into or out of a zero space: every map is zero
             return linalg.zeros(0, flat.shape[1] if flat.ndim > 1 else 1)
         flat = linalg.as_fp(flat, p).reshape(self.basis.shape[0], -1)
-        coords = flat[self.support, :]
-        if not np.array_equal(self.basis @ coords % p, flat):
+        if not linalg.in_span(self.basis, self.support, flat, p):
             raise ArithmeticError("vector is not an R-linear map")
-        return coords
+        return flat[self.support, :]
 
 
 @dataclass(frozen=True)
@@ -110,9 +109,9 @@ def matlis_dual(m):
 
 def injective_hull(ring):
     """E = injective hull of the residue field = dual of the regular
-    module."""
-    e = matlis_dual(regular_module(ring))
-    return Module(ring, e.dim, e.action, name="E", check=False)
+    module: e_i acts by the transpose of multiplication by e_i."""
+    return Module(ring, ring.dim, ring.mult.transpose(0, 2, 1), name="E",
+                  check=False)
 
 
 def homothety_map(m):

@@ -2,7 +2,8 @@
 
 Matrices are plain numpy int64 arrays with entries reduced into [0, p).
 Zero-row and zero-column shapes are legal everywhere; the zero module
-upstream depends on that.
+upstream depends on that.  Every ring, module and map law upstream is
+checked by `first_mismatch` on two stacks of matrices.
 
 Every basis derives from `rref`, and the reduced row echelon form of a
 matrix is unique: it depends on the row space alone, not on how the
@@ -167,6 +168,13 @@ def kron_eye(mats, n):
     """kron(M_i, I_n) for the stack mats (k, r, c), unflattened to shape
     (k, r, n, c, n): entry (i, a, b, c, e) is M_i[a, c] delta_be."""
     return mats[:, :, None, :, None] * identity(n)[:, None, :]
+
+
+def first_mismatch(a, b):
+    """Index of the first entry along axis 0 at which the stacks a and b
+    differ, or None when they are equal (as for empty matrices)."""
+    differs = np.any(a != b, axis=tuple(range(1, np.ndim(a))))
+    return int(differs.argmax()) if differs.any() else None
 
 
 def canon_basis(vectors, p):

@@ -3,9 +3,13 @@
 A module is a vector space F_p^n together with one action matrix per
 ring basis element.  Everything downstream (Hom, tensor, duals,
 resolutions) is linear algebra on these matrices.  The zero module
-(dim 0) is a first-class value.  Every quotient and sequence comes from
-`_quotient`, and only `free_module`, `free_action` and
-`generator_images` know the coordinate layout of a free module R^b.
+(dim 0) is a first-class value, and a module is fixed once constructed.
+`law_violation` is the one check of the module laws, for module files
+and for rings over themselves; it, `_quotient` and `ModuleMap` name
+the first failing basis element with `linalg.first_mismatch`.  Every
+quotient and sequence comes from `_quotient`, and only `free_module`,
+`free_action` and `generator_images` know the coordinate layout of a
+free module R^b.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ def _as_columns(vectors, rows, p):
 class Module:
     """Immutable module given by action matrices."""
 
-    __slots__ = ("ring", "dim", "action", "name", "_key")
+    __slots__ = ("ring", "dim", "action", "name")
 
     def __init__(self, ring, dim, action, name=None, check=True):
         self.ring = ring
@@ -37,40 +41,50 @@ class Module:
         action.setflags(write=False)
         self.action = action
         self.name = name
-        self._key = None
         if check:
             self.validate()
 
     @property
     def key(self):
-        if self._key is None:
-            self._key = (self.ring.key, self.dim, self.action.tobytes())
-        return self._key
-
-    def act(self, x):
-        """Action matrix of the ring element with coordinates x."""
-        return np.tensordot(np.asarray(x, dtype=np.int64) % self.ring.p,
-                            self.action, axes=(0, 0)) % self.ring.p
+        """Rebuilt on each read: most modules are never keyed."""
+        return (self.ring.key, self.dim, self.action.tobytes())
 
     def validate(self):
-        """Unit law and compatibility A_i A_j = sum_k c[i][j][k] A_k."""
-        ring = self.ring
-        p = ring.p
-        if not np.array_equal(self.act(ring.unit), linalg.identity(self.dim)):
+        """Unit law and compatibility A_i A_j = sum_k c[i][j][k] A_k for
+        every pair (i, j), the first failing pair the witness."""
+        bad = law_violation(self.ring.unit, self.ring.struct, self.action,
+                            self.ring.p)
+        if bad == "unit":
             raise ModuleValidationError(
                 "unit does not act as the identity", witness="unit")
-        for i in range(ring.dim):
-            for j in range(i, ring.dim):
-                lhs = self.action[i] @ self.action[j] % p
-                rhs = self.act(ring.struct[i, j])
-                if not np.array_equal(lhs, rhs):
-                    raise ModuleValidationError(
-                        "action incompatible with e%d*e%d" % (i, j),
-                        witness=(i, j))
+        if bad is not None:
+            raise ModuleValidationError(
+                "action incompatible with e%d*e%d" % bad[:2], witness=bad[:2])
 
     def __repr__(self):
         label = self.name or "module"
         return "Module(%s over %s, dim %d)" % (label, self.ring.name, self.dim)
+
+
+def law_violation(unit, struct, action, p):
+    """The first module law the stack `action` breaks over the algebra
+    (unit, struct), or None: "unit" if the unit does not act as the
+    identity, else (i, j, k) for the first pair (i, j) in row-major
+    order with A_i A_j != sum_l struct[i, j, l] A_l, k the first column
+    where they differ.  Batching over j alone keeps the temporaries at
+    O(dim R * n^2).
+    """
+    n = action.shape[1]
+    unit_act = np.tensordot(unit, action, axes=(0, 0)) % p
+    if linalg.first_mismatch(unit_act, linalg.identity(n)) is not None:
+        return "unit"
+    for i, a_i in enumerate(action):
+        lhs = a_i @ action % p
+        rhs = np.tensordot(struct[i], action, axes=(1, 0)) % p
+        j = linalg.first_mismatch(lhs, rhs)
+        if j is not None:
+            return i, j, linalg.first_mismatch(lhs[j].T, rhs[j].T)
+    return None
 
 
 class ModuleMap:
@@ -87,12 +101,10 @@ class ModuleMap:
             target.dim, source.dim)
         if check:
             p = source.ring.p
-            for i in range(source.ring.dim):
-                lhs = self.matrix @ source.action[i] % p
-                rhs = target.action[i] @ self.matrix % p
-                if not np.array_equal(lhs, rhs):
-                    raise InvalidModuleMap(
-                        "matrix does not commute with e%d" % i)
+            i = linalg.first_mismatch(self.matrix @ source.action % p,
+                                      target.action @ self.matrix % p)
+            if i is not None:
+                raise InvalidModuleMap("matrix does not commute with e%d" % i)
 
     def __repr__(self):
         return "ModuleMap(%d -> %d over %s)" % (
@@ -260,9 +272,9 @@ def _quotient(module, subspace):
     proj, sect, _ = linalg.complement(basis, pivots, module.dim, p)
     left = proj @ module.action % p
     action = left @ sect % p
-    unclosed = np.any(left != action @ proj % p, axis=(1, 2))
-    if unclosed.any():
-        raise NotSubmodule("subspace not closed under e%d" % unclosed.argmax())
+    i = linalg.first_mismatch(left, action @ proj % p)
+    if i is not None:
+        raise NotSubmodule("subspace not closed under e%d" % i)
     quot = Module(module.ring, proj.shape[0], action, check=False)
     projmap = ModuleMap(module, quot, proj, check=False)
     return basis, pivots, quot, projmap, sect

@@ -4,6 +4,8 @@ A ring is given by structure constants: struct[i, j] is the coordinate
 column of e_i * e_j in the chosen basis.  Validation checks every ring
 law and computes the nilradical (= the maximal ideal, once locality is
 established) via the Frobenius map, which is linear over a prime field.
+The unit and associativity laws are the module laws of R over itself,
+so `module.law_violation` checks them, as it checks module files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadUnit, NotAssociative, NotCommutative, NotLocal, NotPrime
+from .module import law_violation
 
 
 def is_prime(n):
@@ -68,30 +71,25 @@ def validate_ring(name, p, dim, unit, struct):
     unit = linalg.as_fp(unit, p).reshape(dim)
     struct = linalg.as_fp(struct, p).reshape(dim, dim, dim)
 
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if not np.array_equal(struct[i, j], struct[j, i]):
-                raise NotCommutative(
-                    "e%d*e%d != e%d*e%d" % (i, j, j, i), witness=(i, j))
+    # the first asymmetric pair in row-major order has i < j
+    i = linalg.first_mismatch(struct, struct.swapaxes(0, 1))
+    if i is not None:
+        j = linalg.first_mismatch(struct[i], struct[:, i])
+        raise NotCommutative(
+            "e%d*e%d != e%d*e%d" % (i, j, j, i), witness=(i, j))
 
     # mult[i][:, j] = coordinates of e_i e_j
     mult = np.transpose(struct, (0, 2, 1)).copy()
 
-    unit_mat = np.tensordot(unit, mult, axes=(0, 0)) % p
-    if not np.array_equal(unit_mat, linalg.identity(dim)):
+    # R is a module over itself: the unit acts as the identity, and
+    # L_i L_j = M(e_i e_j) says (e_i e_j) e_k = e_i (e_j e_k) for all k
+    bad = law_violation(unit, struct, mult, p)
+    if bad == "unit":
         raise BadUnit("multiplication by the unit is not the identity",
                       witness=unit.tolist())
-
-    # (e_i e_j) e_k = e_i (e_j e_k) for all k  <=>  M(e_i e_j) = L_i L_j
-    for i in range(dim):
-        for j in range(dim):
-            lhs = np.tensordot(struct[i, j], mult, axes=(0, 0)) % p
-            rhs = mult[i] @ mult[j] % p
-            if not np.array_equal(lhs, rhs):
-                k = int(np.nonzero(np.any(lhs != rhs, axis=0))[0][0])
-                raise NotAssociative(
-                    "(e%d*e%d)*e%d != e%d*(e%d*e%d)" % (i, j, k, i, j, k),
-                    witness=(i, j, k))
+    if bad is not None:
+        raise NotAssociative("(e%d*e%d)*e%d != e%d*(e%d*e%d)" % (bad + bad),
+                             witness=bad)
 
     # x -> x^p is linear because the base field is prime; column i of
     # its matrix is e_i^p
@@ -101,12 +99,12 @@ def validate_ring(name, p, dim, unit, struct):
 
     # N must be an ideal (automatic for a commutative algebra; checked
     # anyway as a guard against inconsistent presentations).
-    if radical.shape[1]:
-        for i in range(dim):
-            if not linalg.in_span(radical, radical_pivots,
-                                  mult[i] @ radical % p, p):
-                raise NotAssociative(
-                    "nilradical is not closed under e%d" % i, witness=(i,))
+    images = mult @ radical % p
+    i = linalg.first_mismatch(images,
+                              radical @ images[:, radical_pivots] % p)
+    if i is not None:
+        raise NotAssociative(
+            "nilradical is not closed under e%d" % i, witness=(i,))
 
     residue_degree = _check_local(p, dim, frob, radical, radical_pivots)
     return Ring(name, p, dim, unit, struct, mult, radical, radical_pivots,

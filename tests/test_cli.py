@@ -251,3 +251,27 @@ def test_verify_text_is_byte_identical_seed0(name):
     assert code == 0
     assert (hashlib.sha256(text.encode()).hexdigest()
             == VERIFY_DIGESTS_SEED0[name])
+
+
+# over r5 = F_2[x, y] / (x, y)^2, x acts as E_10 and y as E_21: y x acts
+# as E_20, but xy = 0, so the actions do not commute
+NON_COMMUTING = """[module]
+name = bad
+ring = r5
+dim = 3
+act 0 = 1 0 0 / 0 1 0 / 0 0 1
+act 1 = 0 0 0 / 1 0 0 / 0 0 0
+act 2 = 0 0 0 / 0 0 0 / 0 1 0
+"""
+
+
+@pytest.mark.parametrize("command", [["hom"], ["tensor"], ["dual"]])
+def test_non_commuting_module_file_is_rejected(tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_text(NON_COMMUTING, encoding="utf-8")
+    extra = [] if command == ["dual"] else ["k"]
+    code, out, err = run_cli(command + ["--ring", "corpus:r5", str(path)]
+                             + extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: action incompatible with e2*e1\n"

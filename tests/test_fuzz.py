@@ -141,6 +141,14 @@ def _exit_code(argv):
 @example((["dual", "--ring", "corpus:r3", "mod.txt"],
           {"mod.txt": _module_text("r3").replace(
               "act 1 = 0", "act 1 = %d" % -10 ** 30)}))
+# a module whose actions do not commute used to pass the module check
+# and end classify in an ArithmeticError
+@example((["classify", "--ring", "corpus:r5", "--module", "mod.txt", "--as",
+           "quasidualizing"],
+          {"mod.txt": "[module]\nname = bad\nring = r5\ndim = 3\n"
+                      "act 0 = 1 0 0 / 0 1 0 / 0 0 1\n"
+                      "act 1 = 0 0 0 / 1 0 0 / 0 0 0\n"
+                      "act 2 = 0 0 0 / 0 0 0 / 0 1 0\n"}))
 def test_main_exits_0_1_or_2_and_never_raises(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:
