@@ -3,8 +3,10 @@ derived reflexive, Bass, Auslander) and one checker per theorem.
 
 Unbounded Ext/Tor vanishing is replaced by vanishing in degrees
 1..B; every theorem checker compares both sides of an equivalence at
-the same bound, so the bounded biconditionals are exact.  Reports carry
-one (label, verdict, witness) triple per condition.
+the same bound, so the bounded biconditionals are exact.  A report is
+immutable and carries one (label, verdict, witness) triple per
+condition; its verdict is read from them, so a vacuous report is one
+whose conditions say VACUOUS.
 
 A vanishing that structure forces (`homology.forces_vanishing`: M is
 free, or N is injective for Ext or free for Tor) passes before any
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
@@ -39,45 +41,41 @@ VACUOUS = "VACUOUS"
 DEFAULT_BOUND = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
+    """A tuple of (label, verdict, witness) conditions: VACUOUS if any
+    condition is, else FAIL if any condition is, else PASS."""
     name: str
     bound: int
-    conditions: list = field(default_factory=list)
-    vacuous: bool = False
-
-    def add(self, label, ok, witness=""):
-        self.conditions.append((label, PASS if ok else FAIL, witness))
-        return ok
-
-    def note(self, label, witness=""):
-        self.conditions.append((label, PASS, witness))
+    conditions: tuple
 
     @property
     def verdict(self):
-        if self.vacuous:
+        verdicts = {v for _, v, _ in self.conditions}
+        if VACUOUS in verdicts:
             return VACUOUS
-        if all(v == PASS for _, v, _ in self.conditions):
-            return PASS
-        return FAIL
+        return FAIL if FAIL in verdicts else PASS
 
     @property
     def passed(self):
         return self.verdict == PASS
 
-    def mark_vacuous(self):
-        self.vacuous = True
-        self.conditions = [(label, VACUOUS, witness)
-                           for label, _, witness in self.conditions]
+    @property
+    def vacuous(self):
+        return self.verdict == VACUOUS
+
+
+def _check(label, ok, witness=""):
+    """One condition: PASS when ok, else FAIL."""
+    return (label, PASS if ok else FAIL, witness)
 
 
 def _iso(label, f):
     """One condition: the natural map f is an isomorphism."""
     iso, diag = is_isomorphism(f)
-    return (label, PASS if iso else FAIL,
-            "%dx%d, injective=%s, surjective=%s" % (
-                f.matrix.shape[0], f.matrix.shape[1],
-                diag["injective"], diag["surjective"]))
+    return _check(label, iso, "%dx%d, injective=%s, surjective=%s" % (
+        f.matrix.shape[0], f.matrix.shape[1],
+        diag["injective"], diag["surjective"]))
 
 
 def _vanishing(label, degrees, name, m, n, bound):
@@ -122,17 +120,17 @@ def _dualizing(c, bound):
 
 def is_semidualizing(c, bound=DEFAULT_BOUND):
     """Homothety iso plus Ext^i(C, C) = 0 for 1 <= i <= B."""
-    return CheckReport("semidualizing(%s)" % (c.name or "C"), bound, [
+    return CheckReport("semidualizing(%s)" % (c.name or "C"), bound, (
         ("finitely-generated", PASS, "automatic: finite length"),
-        *_dualizing(c, bound)])
+        *_dualizing(c, bound)))
 
 
 def is_quasidualizing(t, bound=DEFAULT_BOUND):
     """Same conditions; the homothety target ring is its own completion
     since every ring here is artinian."""
-    return CheckReport("quasidualizing(%s)" % (t.name or "T"), bound, [
+    return CheckReport("quasidualizing(%s)" % (t.name or "T"), bound, (
         ("artinian", PASS, "automatic: finite length"),
-        *_dualizing(t, bound)])
+        *_dualizing(t, bound)))
 
 
 @_memoized
@@ -147,7 +145,7 @@ def _derived_reflexive(l, m, bound):
 def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
     """Biduality into Hom(Hom(L,M),M) iso and two Ext vanishings."""
     return CheckReport("derived-reflexive", bound,
-                       list(_derived_reflexive(l, m, bound)))
+                       _derived_reflexive(l, m, bound))
 
 
 @_memoized
@@ -161,7 +159,7 @@ def _bass(l, lp, bound):
 
 def in_bass_class(l, lp, bound=DEFAULT_BOUND):
     """Evaluation iso, Ext^i(L',L) = 0 and Tor_i(L',Hom(L',L)) = 0."""
-    return CheckReport("bass-class", bound, list(_bass(l, lp, bound)))
+    return CheckReport("bass-class", bound, _bass(l, lp, bound))
 
 
 @_memoized
@@ -175,26 +173,24 @@ def _auslander(l, lp, bound):
 
 def in_auslander_class(l, lp, bound=DEFAULT_BOUND):
     """Gamma iso, Tor_i(L',L) = 0 and Ext^i(L',L' (x) L) = 0."""
-    return CheckReport("auslander-class", bound,
-                       list(_auslander(l, lp, bound)))
+    return CheckReport("auslander-class", bound, _auslander(l, lp, bound))
 
 
 def check_duality_swap(x, bound=DEFAULT_BOUND):
     """Matlis duality swaps the two dualizing predicates; biduality
     certifies involutivity.  VACUOUS when X is neither."""
-    report = CheckReport("duality-swap(%s)" % (x.name or "X"), bound)
+    name = "duality-swap(%s)" % (x.name or "X")
     # the two predicates share one body (the artinian collapse), so X and
     # its dual are each tested once
     if not is_semidualizing(x, bound).passed:
-        report.note("hypothesis", "X is neither semi- nor quasidualizing")
-        report.mark_vacuous()
-        return report
+        return CheckReport(name, bound, (
+            ("hypothesis", VACUOUS, "X is neither semi- nor quasidualizing"),))
     dual = is_quasidualizing(matlis_dual(x), bound).passed
-    report.add("semidualizing->dual-quasidualizing", dual)
-    report.add("quasidualizing->dual-semidualizing", dual)
-    report.conditions.append(_iso("involutivity-biduality-iso",
-                                  biduality_map(x, injective_hull(x.ring))))
-    return report
+    return CheckReport(name, bound, (
+        _check("semidualizing->dual-quasidualizing", dual),
+        _check("quasidualizing->dual-semidualizing", dual),
+        _iso("involutivity-biduality-iso",
+             biduality_map(x, injective_hull(x.ring)))))
 
 
 def _require_quasidualizing(t, bound):
@@ -206,10 +202,9 @@ def _require_quasidualizing(t, bound):
 
 def _biconditionals(name, bound, pairs):
     """One condition per (label, lhs, rhs): the two verdicts agree."""
-    report = CheckReport(name, bound)
-    for label, lhs, rhs in pairs:
-        report.add(label, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
-    return report
+    return CheckReport(name, bound, tuple(
+        _check(label, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
+        for label, lhs, rhs in pairs))
 
 
 def check_theorem_B(t, m, bound=DEFAULT_BOUND):
@@ -255,32 +250,30 @@ def check_two_of_three(t, ses, bound=DEFAULT_BOUND):
     if bound < 2:
         raise ValueError("two-of-three needs bound >= 2")
     _require_quasidualizing(t, bound)
-    report = CheckReport("two-of-three", bound)
     members = ses.members
     passes = [is_derived_reflexive(l, t, bound).passed for l in members]
-    report.note("memberships-at-bound",
-                "L1=%s L2=%s L3=%s" % tuple(passes))
+    memberships = "L1=%s L2=%s L3=%s" % tuple(passes)
     if sum(passes) < 2:
-        report.mark_vacuous()
-        return report
-    for idx, (l, ok) in enumerate(zip(members, passes)):
-        if not ok or sum(passes) == 3:
-            report.add("third-member-L%d-at-bound-%d" % (idx + 1, bound - 1),
-                       is_derived_reflexive(l, t, bound - 1).passed)
-    return report
+        return CheckReport("two-of-three", bound, (
+            ("memberships-at-bound", VACUOUS, memberships),))
+    return CheckReport("two-of-three", bound, (
+        ("memberships-at-bound", PASS, memberships),
+        *(_check("third-member-L%d-at-bound-%d" % (idx + 1, bound - 1),
+                 is_derived_reflexive(l, t, bound - 1).passed)
+          for idx, (l, ok) in enumerate(zip(members, passes))
+          if not ok or sum(passes) == 3)))
 
 
 def check_hom_faithful(l, t, bound=DEFAULT_BOUND):
     """Hom(L, T) = 0 forces L = 0 when T is quasidualizing."""
     _require_quasidualizing(t, bound)
-    report = CheckReport("hom-faithful", bound)
     h = hom_module(l, t).module.dim
     if l.dim == 0:
-        report.add("hom-from-zero-is-zero", h == 0, "dim Hom = %d" % h)
+        condition = _check("hom-from-zero-is-zero", h == 0, "dim Hom = %d" % h)
     else:
-        report.add("hom-nonzero", h > 0,
-                   "dim L = %d, dim Hom(L,T) = %d" % (l.dim, h))
-    return report
+        condition = _check("hom-nonzero", h > 0,
+                           "dim L = %d, dim Hom(L,T) = %d" % (l.dim, h))
+    return CheckReport("hom-faithful", bound, (condition,))
 
 
 def probe_tensor_faithful(l, t, bound=DEFAULT_BOUND):
@@ -290,31 +283,32 @@ def probe_tensor_faithful(l, t, bound=DEFAULT_BOUND):
     failure; callers aggregate these reports without asserting them.
     """
     _require_quasidualizing(t, bound)
-    report = CheckReport("tensor-probe", bound)
     d = tensor_module(t, l).module.dim
     if l.dim == 0:
-        report.note("tensor-with-zero", "dim T(x)L = %d" % d)
+        label, witness = "tensor-with-zero", "dim T(x)L = %d" % d
     elif d > 0:
-        report.note("tensor-nonzero", "dim L = %d, dim T(x)L = %d"
-                    % (l.dim, d))
+        label, witness = ("tensor-nonzero",
+                          "dim L = %d, dim T(x)L = %d" % (l.dim, d))
     else:
-        report.note("finding-tensor-kills-nonzero-module",
-                    "dim L = %d, dim T(x)L = 0" % l.dim)
-    return report
+        label, witness = ("finding-tensor-kills-nonzero-module",
+                          "dim L = %d, dim T(x)L = 0" % l.dim)
+    return CheckReport("tensor-probe", bound, ((label, PASS, witness),))
 
 
 def check_artinian_collapse(ring, candidates, bound=DEFAULT_BOUND):
     """Over an artinian ring the two dualizing predicates coincide and
     both R and E satisfy both."""
-    report = CheckReport("artinian-collapse(%s)" % ring.name, bound)
-    e = injective_hull(ring)
-    r = regular_module(ring)
-    report.add("E-semidualizing", is_semidualizing(e, bound).passed)
-    report.add("R-quasidualizing", is_quasidualizing(r, bound).passed)
+    conditions = [
+        _check("E-semidualizing",
+               is_semidualizing(injective_hull(ring), bound).passed),
+        _check("R-quasidualizing",
+               is_quasidualizing(regular_module(ring), bound).passed)]
     for idx, c in enumerate(candidates):
         semi = is_semidualizing(c, bound).verdict
         quasi = is_quasidualizing(c, bound).verdict
         label = c.name or ("candidate-%d" % idx)
-        report.add("verdicts-agree(%s)" % label, semi == quasi,
-                   "semidualizing=%s quasidualizing=%s" % (semi, quasi))
-    return report
+        conditions.append(_check(
+            "verdicts-agree(%s)" % label, semi == quasi,
+            "semidualizing=%s quasidualizing=%s" % (semi, quasi)))
+    return CheckReport("artinian-collapse(%s)" % ring.name, bound,
+                       tuple(conditions))

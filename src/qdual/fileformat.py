@@ -178,6 +178,9 @@ def parse_module(text, ring_table):
         elif len(rows) != dim or any(len(row) != dim for row in rows):
             raise ParseError("act %d must be a %dx%d matrix" % (i, dim, dim),
                              line=lineno)
+    for (i,), (_, lineno) in acts.items():
+        if not 0 <= i < ring.dim:
+            raise ParseError("act index out of range", line=lineno)
     action = np.zeros((ring.dim, dim, dim), dtype=np.int64)
     if dim:
         for i in range(ring.dim):

@@ -1,5 +1,5 @@
 """Minimal free resolutions, injective resolutions through duality, and
-Ext/Tor dimension tables with an independent cross-oracle.
+Ext/Tor dimension tables, with Ext through E as their Matlis swap.
 
 Free modules R^b keep the coordinates of `module.free_module`, and
 `module.free_action` applies e_i to columns of R^b without building
@@ -21,10 +21,10 @@ Outside a run it is one process-level dict, emptied by
 which swaps in a fresh dict, so nothing a run computes outlives it.
 A record is a Betti list, a list of differentials and an augmentation,
 which `_resolution` extends in place, never copying a degree; the
-Ext/Tor loops and the injective oracle index it directly.  qdual is
-single-threaded, so the memo takes no lock.  Cached arrays are
-read-only, because every caller shares them.  Ext and Tor come from one
-loop that yields one degree at a time, resolving only as far as asked.
+Ext/Tor loops index it directly.  qdual is single-threaded, so the
+memo takes no lock.  Cached arrays are read-only, because every caller
+shares them.  Ext and Tor come from one loop that yields one degree at
+a time, resolving only as far as asked.
 
 `forces_vanishing` certifies Ext/Tor vanishing in every degree >= 1
 from structure alone, reading b_0 from degree 0 of the memoized
@@ -207,29 +207,16 @@ def tor_dims(m, n, bound):
 
 
 def ext_dims_via_injective(m, n, bound):
-    """dim Ext^i(M, N) computed from a coresolution of N by copies of E.
+    """dim Ext^i(M, N) for 0 <= i <= bound, computed from a coresolution
+    of N by copies of E.
 
-    The coresolution is the Matlis dual of a minimal free resolution of
-    N^dual; Hom(M, E^c) is coordinatized through the canonical
-    identification with (M^dual)^c, so the whole cochain complex is
-    explicit.  Independent of `ext_dims`, which resolves M instead.
+    The coresolution is the Matlis dual (F_*)^v of a minimal free
+    resolution F_* of N^v, and Hom(M, F^v) = Hom(F, M^v) naturally (both
+    are the k-dual of M (x) F), so the cochain complex Hom(M, (F_*)^v) is
+    Hom(F_*, M^v) and its cohomology is Ext^i(N^v, M^v): this oracle is
+    the Matlis swap of `ext_dims`, over the same memoized resolution.
     """
-    if m.ring.key != n.ring.key:
-        raise RingMismatch("Ext arguments over different rings")
-    ring = m.ring
-    p = ring.p
-    betti, diffs, _ = _resolution(matlis_dual(n), bound + 1)
-    nm = m.dim
-    ranks = []                     # of (M^dual)^{c_i} -> (M^dual)^{c_{i+1}}
-    for i in range(bound + 1):
-        cprev, ccur = betti[i], betti[i + 1]
-        blocks = _generator_ring_blocks(diffs[i], cprev, ccur, ring)
-        # block (s, t) is the transpose of sum_r blocks[t,s,r] A_r
-        mat = np.einsum("tsr,rba->satb", blocks, m.action) % p
-        mat = mat.reshape(ccur * nm, cprev * nm)
-        ranks.append(linalg.rank(mat, p))
-    return DimTable(tuple(_homology_dims(
-        zip([c * nm for c in betti[:bound + 1]], ranks))))
+    return ext_dims(matlis_dual(n), matlis_dual(m), bound)
 
 
 def injective_resolution(module, length):

@@ -1,5 +1,7 @@
 """Bounded predicates and theorem checkers."""
 
+import dataclasses
+
 import pytest
 
 from qdual import classes, cli, homology
@@ -179,16 +181,15 @@ def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
     calls = _counting(monkeypatch, natural_map)
     with homology.memo_scope():
         first = predicate(*args, 3)
-        want = (first.name, first.bound, list(first.conditions))
-        verdict = first.verdict
-        first.mark_vacuous()
+        # a report cannot be changed, so no change can reach the memo
+        for name, value in (("name", "x"), ("bound", 0), ("conditions", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(first, name, value)
+        assert isinstance(first.conditions, tuple)
         second = predicate(*args, bound=3)
         assert second is not first
-        assert (second.name, second.bound, second.conditions) == want
-        assert not second.vacuous and second.verdict == verdict
-        second.mark_vacuous()
-        third = predicate(*args, 3)
-        assert (third.name, third.bound, third.conditions) == want
+        assert second == first
+        assert predicate(*args, 3) == first
         assert len(calls) == 1             # the hits computed nothing
         predicate(*args, 2)                # the bound is part of the key
         assert len(calls) == 2

@@ -275,3 +275,15 @@ def test_non_commuting_module_file_is_rejected(tmp_path, command):
     assert code == 1
     assert out == ""
     assert err == "error: action incompatible with e2*e1\n"
+
+
+@pytest.mark.parametrize("line", ["act 3 = 1", "act -1 = 5"])
+def test_out_of_range_act_line_is_a_parse_error(tmp_path, line):
+    text = serialize_module(builtin_module(corpus_ring("r5"), "k"))
+    path = tmp_path / "extra.txt"
+    path.write_text(text + line + "\n", encoding="utf-8")
+    lineno = len(text.splitlines()) + 1
+    code, out, err = run_cli(["dual", "--ring", "corpus:r5", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: line %d: act index out of range\n" % lineno

@@ -114,6 +114,17 @@ def test_repeated_act_line_rejected():
     assert info.value.line == lineno
 
 
+@pytest.mark.parametrize("line", ["act 3 = 1 0 0 / 0 1 0 / 0 0 1",
+                                  "act -1 = 5"])
+def test_out_of_range_act_line_rejected(line):
+    ring = corpus_ring("r5")
+    text, lineno = _appended(serialize_module(builtin_module(ring, "R")),
+                             line)
+    with pytest.raises(ParseError, match="act index out of range") as info:
+        parse_module(text, {"r5": ring})
+    assert info.value.line == lineno
+
+
 def test_huge_dim_rejected_before_allocating(tmp_path):
     # a dim^3 table would need 2^66 bytes; the missing 'mul 0 1' line is
     # reported first

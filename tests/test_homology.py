@@ -9,10 +9,10 @@ from test_module import F4X
 
 from qdual import (builtin_module, clear_resolution_cache,
                    complex_homology, corpus_ring, direct_sum, ext_dims,
-                   ext_dims_via_injective, free_module, injective_resolution,
-                   linalg, matlis_dual, minimal_free_resolution,
-                   parse_ring, regular_module, sample_modules, socle,
-                   tor_dims, zero_module)
+                   ext_dims_via_injective, free_module, hom_module,
+                   injective_resolution, linalg, matlis_dual,
+                   minimal_free_resolution, parse_ring, regular_module,
+                   sample_modules, socle, tor_dims, zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import NotAComplex, RingMismatch
 from qdual.homology import (_generator_ring_blocks, ext_degrees,
@@ -244,6 +244,38 @@ def reference_table_dims(m, n, bound, layout):
                                              shape[2] * shape[3]), p))
     return tuple(b * n.dim - ranks[i] - ranks[i + 1]
                  for i, b in enumerate(res.betti[:bound + 1]))
+
+
+def hom_cochain_ext_dims(m, n, bound):
+    """dim Ext^i(M, N) for 0 <= i <= bound from the cochain complex
+    Hom(F_i, N) = hom_module(R^{b_i}, N), whose map phi -> phi . d_{i+1}
+    is written in the coordinates `HomData.coords` gives; it shares
+    neither `_generator_ring_blocks` nor an einsum layout with
+    `ext_dims`, only the resolution."""
+    ring = m.ring
+    p = ring.p
+    res = minimal_free_resolution(m, bound + 1)
+    homs = [hom_module(free_module(ring, b), n) for b in res.betti]
+    ranks = [0]
+    for source, target, d in zip(homs, homs[1:], res.diffs):
+        h = source.module.dim
+        # basis column j of Hom(F_i, N) is a dim N x dim F_i matrix phi_j
+        phis = source.basis.T.reshape(h, n.dim, d.shape[0])
+        images = (phis @ d % p).reshape(h, n.dim * d.shape[1]).T
+        ranks.append(linalg.rank(target.coords(images), p))
+    return tuple(hom.module.dim - ranks[i] - ranks[i + 1]
+                 for i, hom in enumerate(homs[:bound + 1]))
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + [parse_ring(F4X)], ids=lambda r: r.name)
+def test_ext_matches_the_hom_cochain_oracle(ring):
+    mods = [builtin_module(ring, name) for name in ("k", "R", "E")]
+    mods += sample_modules(ring, 3, 41)
+    for m in mods:
+        for n in mods:
+            assert ext_dims(m, n, 3).dims == hom_cochain_ext_dims(m, n, 3)
 
 
 @pytest.mark.parametrize("ring", [corpus_ring(n) for n in

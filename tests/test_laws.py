@@ -20,6 +20,7 @@ from qdual.corpus import VALID_NAMES
 from qdual.errors import (BadUnit, InvalidModuleMap, ModuleValidationError,
                           NotAssociative, NotCommutative, NotLocal,
                           RingValidationError)
+from qdual.ring import _nilradical
 
 RINGS = {name: corpus_ring(name) for name in VALID_NAMES}
 
@@ -199,6 +200,33 @@ def test_ring_check_matches_law_loops(name):
     assert {NotCommutative, BadUnit} <= laws or dim == 1
     # a commutative algebra of dim <= 2 with unit e_0 is associative
     assert NotAssociative in laws or dim < 3
+
+
+def _radical_is_an_ideal(p, dim, unit, struct):
+    """Whether every e_i maps the nilradical into itself: mult @ radical
+    lies in the span of the nilradical's canonical basis."""
+    mult = np.transpose(struct, (0, 2, 1))
+    frob = np.stack([linalg.mat_pow(m, p, p) @ unit % p for m in mult],
+                    axis=1)
+    radical, pivots = _nilradical(p, dim, frob)
+    images = mult @ radical % p
+    return linalg.first_mismatch(images,
+                                 radical @ images[:, pivots] % p) is None
+
+
+@pytest.mark.parametrize("name", VALID_NAMES)
+def test_nilradical_of_a_commutative_ring_is_an_ideal(name):
+    # why validate_ring checks no closure: every (unit, struct) the law
+    # loops accept is commutative, so its nilradical is an ideal
+    ring = RINGS[name]
+    p, dim = ring.p, ring.dim
+    assert _radical_is_an_ideal(p, dim, ring.unit, ring.struct)
+    accepted = 0
+    for unit, struct in _ring_cases(name):
+        if _outcome(ring_laws_loop, p, dim, unit, struct) is None:
+            assert _radical_is_an_ideal(p, dim, unit, struct)
+            accepted += 1
+    assert accepted
 
 
 def _map_cases(ring, seed):
