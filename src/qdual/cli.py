@@ -274,6 +274,12 @@ def main(argv=None):
         parser.error("bound and samples must be at least 1")
     if getattr(args, "degree", 0) < 0 or getattr(args, "length", 0) < 0:
         parser.error("degree and length must be at least 0")
+    # islice and numpy take counts below sys.maxsize and seeds from 0
+    counts = [getattr(args, name, 0)
+              for name in ("bound", "samples", "degree", "length")]
+    if getattr(args, "seed", 0) < 0 or max(counts) >= sys.maxsize:
+        parser.error("seed must be at least 0, and bound, samples, degree "
+                     "and length below %d" % sys.maxsize)
     if (args.command == "verify" and args.suite in ("all", "two-of-three")
             and args.bound < 2):
         parser.error("suite two-of-three needs bound >= 2")

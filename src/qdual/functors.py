@@ -7,9 +7,10 @@ Basis conventions are fixed once and reused everywhere:
   row-major; the hom basis is the deterministic kernel basis of the
   commutation constraints, so coordinates of any R-linear map are just
   its flattened matrix restricted to the kernel's free indices;
-* the vector-space tensor M (x) N orders its basis (a, b) -> a*dimN + b
-  and the module tensor is the quotient by the bilinearity relations,
-  with the rref-pivot complement as quotient basis.
+* M (x)_R N is the Matlis dual of Hom_R(N, M^v), with the same basis:
+  an element of M (x)_k N ordered (a, b) -> a*dimN + b is a flattened
+  dim M x dim N matrix, i.e. a map N -> M^v, and the tensor basis is
+  dual to the hom basis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RingMismatch
-from .module import Module, ModuleMap, quotient_module, regular_module
+from .module import Module, ModuleMap, regular_module
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,9 @@ class HomData:
     module: Module
     basis: np.ndarray
     support: list
+
+    def __post_init__(self):
+        self.basis.setflags(write=False)
 
     def coords(self, flat):
         """Coordinates of R-linear maps given as flattened columns."""
@@ -56,15 +60,15 @@ class TensorData:
     proj: np.ndarray
     sect: np.ndarray
 
-
-def _same_ring(a, b):
-    if a.ring.key != b.ring.key:
-        raise RingMismatch("functor arguments live over different rings")
+    def __post_init__(self):
+        self.proj.setflags(write=False)
+        self.sect.setflags(write=False)
 
 
 def hom_module(m, n):
     """Hom_R(M, N) with the ring acting through the target."""
-    _same_ring(m, n)
+    if m.ring.key != n.ring.key:
+        raise RingMismatch("functor arguments live over different rings")
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
@@ -83,21 +87,20 @@ def hom_module(m, n):
 
 
 def tensor_module(m, n):
-    """M (x)_R N: quotient of the vector-space tensor by bilinearity."""
-    _same_ring(m, n)
-    ring = m.ring
-    p = ring.p
-    nm, nn = m.dim, n.dim
-    left = linalg.kron_eye(m.action, nn)
-    full = Module(ring, nm * nn, left.reshape(ring.dim, nm * nn, nm * nn),
-                  check=False)
-    # column (i, c, e) of the relations is column (c, e) of
-    # kron(A_i, I) - kron(I, B_i)
-    rels = (left - linalg.eye_kron(nm, n.action)) % p
-    relcols = rels.transpose(1, 2, 0, 3, 4).reshape(
-        nm * nn, ring.dim * nm * nn)
-    quot, projmap, sect = quotient_module(full, relcols)
-    return TensorData(quot, projmap.matrix, sect)
+    """M (x)_R N as the Matlis dual of Hom_R(N, M^v), since (M (x)_R N)^v
+    = Hom_R(N, M^v) for finite-length modules.
+
+    The constraints X B_i - A_i^T X of Hom(N, M^v) are, up to sign, the
+    bilinearity relations (A_i m) (x) n - m (x) (B_i n) of M (x)_k N in
+    the same (a, b) -> a*dimN + b order.  An rref depends only on the
+    row space, so the transposed hom basis is the projection of the
+    quotient by those relations onto its rref-pivot complement, the unit
+    columns at the hom support are its section, and the transposed hom
+    action is the quotient action.
+    """
+    hom = hom_module(n, matlis_dual(m))
+    return TensorData(matlis_dual(hom.module), hom.basis.T,
+                      linalg.identity(m.dim * n.dim)[:, hom.support])
 
 
 def matlis_dual(m):
@@ -125,7 +128,6 @@ def homothety_map(m):
 
 def biduality_map(l, m):
     """delta: L -> Hom(Hom(L, M), M), l -> (phi -> phi(l))."""
-    _same_ring(l, m)
     h1 = hom_module(l, m)
     h2 = hom_module(h1.module, m)
     k1 = h1.basis.shape[1]
@@ -138,7 +140,6 @@ def biduality_map(l, m):
 
 def evaluation_map(lp, l):
     """xi: Hom(L', L) (x) L' -> L, phi (x) x -> phi(x)."""
-    _same_ring(lp, l)
     p = l.ring.p
     hom = hom_module(lp, l)
     tens = tensor_module(hom.module, lp)
@@ -152,7 +153,6 @@ def evaluation_map(lp, l):
 
 def gamma_map(lp, l):
     """gamma: L -> Hom(L', L' (x) L), l -> (x -> x (x) l)."""
-    _same_ring(lp, l)
     tens = tensor_module(lp, l)
     hom = hom_module(lp, tens.module)
     # column a is e_b -> e_b (x) e_a: entry (x, b) is proj[x, b*dim L + a]
@@ -163,8 +163,6 @@ def gamma_map(lp, l):
 
 def hom_evaluation_map(l, lp, lpp):
     """theta: L (x) Hom(L', L'') -> Hom(Hom(L, L'), L'')."""
-    _same_ring(l, lp)
-    _same_ring(lp, lpp)
     p = l.ring.p
     h1 = hom_module(lp, lpp)
     h2 = hom_module(l, lp)

@@ -2,9 +2,11 @@
 
 import hashlib
 import io
+import itertools
 import sys
 
 import pytest
+from oracles import reference_tensor_module
 
 from qdual import (builtin_module, cli, corpus_ring, serialize_module,
                    serialize_ring)
@@ -86,6 +88,18 @@ def test_hom_and_tensor_dims():
     code, out, _ = run_cli(["tensor", "--ring", "corpus:r5", "E", "k"])
     assert code == 0
     assert out.splitlines()[0] == "dim 2"
+
+
+@pytest.mark.parametrize("ring", ["r1", "r2", "r3", "r4", "r5", "r6"])
+def test_tensor_prints_the_bilinearity_quotient(ring):
+    mods = {name: builtin_module(corpus_ring(ring), name)
+            for name in ("R", "E", "k", "0")}
+    for a, b in itertools.product(mods, repeat=2):
+        code, out, _ = run_cli(["tensor", "--ring", "corpus:" + ring, a, b])
+        module = reference_tensor_module(mods[a], mods[b])[0]
+        assert code == 0
+        assert out == "dim %d\n%s" % (module.dim, serialize_module(
+            module, name="Tensor"))
 
 
 def test_ext_example_from_grammar():
@@ -183,6 +197,31 @@ def test_negative_degree_or_length_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least 0" in captured.err
+
+
+HUGE = (str(2 ** 63 - 1), str(10 ** 20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ring", "corpus:r3", "--seed", "-1", "--samples", "1"],
+    *(["classify", "--ring", "corpus:r5", "--module", "k", "--as",
+       "semidualizing", "--bound", n] for n in HUGE),
+    *([command, "--ring", "corpus:r5", "-i", n, "k", "k"]
+      for command in ("ext", "tor") for n in HUGE),
+    *(["resolve", "--ring", "corpus:r3", "-l", n, "k"] for n in HUGE),
+    *(["verify", "--ring", "corpus:r3", option, n]
+      for option in ("--bound", "--samples") for n in HUGE),
+])
+def test_negative_seed_or_huge_count_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["qdual: error: seed must be at least 0, and bound, "
+                      "samples, degree and length below %d" % (2 ** 63 - 1)]
 
 
 def test_zero_degree_and_length_still_allowed():

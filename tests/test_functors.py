@@ -4,11 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import F4X, reference_tensor_module
 
 from qdual import (ModuleMap, biduality_map, builtin_module, corpus_ring,
                    evaluation_map, gamma_map, hom_evaluation_map, hom_module,
                    homothety_map, injective_hull, is_isomorphism,
-                   matlis_dual, regular_module, sample_modules,
+                   matlis_dual, parse_ring, regular_module, sample_modules,
                    tensor_module, zero_module)
 from qdual import linalg
 from qdual.errors import RingMismatch
@@ -148,8 +149,16 @@ def test_dual_swaps_hom_and_tensor_dims():
 
 
 def test_ring_mismatch_rejected():
-    with pytest.raises(RingMismatch):
-        hom_module(regular_module(RINGS["r3"]), regular_module(RINGS["r5"]))
+    # every functor checks the rings through its first hom_module call
+    a, b = regular_module(RINGS["r3"]), regular_module(RINGS["r5"])
+    for build in (hom_module, tensor_module, biduality_map, evaluation_map,
+                  gamma_map):
+        for args in ((a, b), (b, a)):
+            with pytest.raises(RingMismatch):
+                build(*args)
+    for args in ((b, a, a), (a, b, a), (a, a, b)):
+        with pytest.raises(RingMismatch):
+            hom_evaluation_map(*args)
 
 
 def test_zero_module_edge_cases():
@@ -288,3 +297,39 @@ def test_hom_action_matches_loop_reference(ring):
         assert got.shape == want.shape == (ring.dim,) + (hom.module.dim,) * 2
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _tensor_subjects(ring):
+    """0, k, R, E, four samples and two Hom modules."""
+    mods = [builtin_module(ring, name) for name in ("0", "k", "R", "E")]
+    samples = sample_modules(ring, 4, 5, max_dim=8)
+    return mods + samples + [hom_module(mods[3], samples[0]).module,
+                             hom_module(samples[1], mods[2]).module]
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + [parse_ring(F4X)], ids=lambda r: r.name)
+def test_tensor_matches_the_bilinearity_quotient(ring):
+    # the dual of Hom(N, M^v) is the quotient of M (x)_k N by the
+    # bilinearity relations, bit for bit
+    for m, n in itertools.product(_tensor_subjects(ring), repeat=2):
+        got = tensor_module(m, n)
+        module, proj, sect = reference_tensor_module(m, n)
+        assert got.module.key == module.key
+        assert got.module.name == module.name
+        for mine, theirs in ((got.proj, proj), (got.sect, sect)):
+            assert mine.shape == theirs.shape
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+
+def test_functor_data_is_read_only():
+    ring = RINGS["r5"]
+    k, e = builtin_module(ring, "k"), injective_hull(ring)
+    hom = hom_module(e, k)
+    tens = tensor_module(e, k)
+    for array in (hom.basis, tens.proj, tens.sect):
+        assert array.size
+        with pytest.raises(ValueError):
+            array[0, 0] = 1

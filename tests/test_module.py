@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import F4X, ring_text
 
 from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
                    direct_sum, ext_dims, ext_dims_via_injective,
@@ -162,27 +163,6 @@ def closure_loop_generators(module):
     return np.concatenate(chosen, axis=1)
 
 
-def _ring_text(name, p, dim, products):
-    """Ring file for basis e_0 = 1, e_1, ..., e_{dim-1}; products[(i, j)]
-    holds the coordinates of e_i e_j for 1 <= i <= j, missing ones are 0."""
-    lines = ["[ring]", "name = %s" % name, "p = %d" % p, "dim = %d" % dim,
-             "unit = " + " ".join(["1"] + ["0"] * (dim - 1))]
-    for i in range(dim):
-        for j in range(i, dim):
-            if i == 0:
-                coords = [int(t == j) for t in range(dim)]
-            else:
-                coords = products.get((i, j), [0] * dim)
-            lines.append("mul %d %d = %s" % (i, j, " ".join(map(str, coords))))
-    return "\n".join(lines) + "\n"
-
-
-# F_4[x]/(x^2) as an F_2-algebra with basis 1, a, x, ax and a^2 = a + 1:
-# residue field F_4, so generators are counted over a degree-2 extension.
-F4X = _ring_text("f4x", 2, 4, {(1, 1): [1, 1, 0, 0], (1, 2): [0, 0, 0, 1],
-                               (1, 3): [0, 0, 1, 1]})
-
-
 def _rebased(module, seed):
     """The same module in a seeded random basis, so that the canonical
     complement of mM is not aligned with the residue-field action."""
@@ -337,7 +317,7 @@ def test_betti_of_k_grow_as_embedding_dimension_powers(p):
     # resolutions", 1998).  e = 3 stops at length 6: length 7 would
     # eliminate 2187 x 8748 matrices.
     for e, length in ((2, 7), (3, 6)):
-        ring = parse_ring(_ring_text("rsz", p, e + 1, {}))
+        ring = parse_ring(ring_text("rsz", p, e + 1, {}))
         k = builtin_module(ring, "k")
         assert minimal_free_resolution(k, length).betti == tuple(
             e ** i for i in range(length + 1))
@@ -347,7 +327,7 @@ def test_truncated_polynomial_ring_has_periodic_k():
     # over F_3[x]/(x^4) the resolution of k is R <- R <- R ... with maps
     # alternating between x and x^3, so every Betti number and every
     # dim Ext^i(k, k) is 1
-    ring = parse_ring(_ring_text("f3x4", 3, 4, {
+    ring = parse_ring(ring_text("f3x4", 3, 4, {
         (1, 1): [0, 0, 1, 0], (1, 2): [0, 0, 0, 1]}))
     k = builtin_module(ring, "k")
     assert minimal_free_resolution(k, 7).betti == (1,) * 8
