@@ -22,12 +22,12 @@ from .functors import (biduality_map, evaluation_map, gamma_map,
                        hom_evaluation_map, hom_module, homothety_map,
                        injective_hull, is_isomorphism, matlis_dual,
                        tensor_module)
-from .homology import (FreeResolution, clear_resolution_cache,
-                       complex_homology, ext_dims, ext_dims_via_injective,
-                       injective_resolution, minimal_free_resolution,
-                       tor_dims)
-from .module import (Module, ModuleMap, ShortExactSequence, direct_sum,
-                     free_module, minimal_generator_count, quotient_module,
+from .homology import (FreeResolution, complex_homology, ext_dims,
+                       ext_dims_via_injective, injective_resolution,
+                       minimal_free_resolution, tor_dims)
+from .module import (Module, ModuleMap, ShortExactSequence,
+                     clear_resolution_cache, direct_sum, free_module,
+                     minimal_generator_count, quotient_module,
                      radical_submodule, regular_module, ses_from_submodule,
                      socle, submodule_generated, zero_module)
 from .ring import Ring, validate_ring

@@ -16,9 +16,9 @@ other vanishing is checked one degree at a time (`homology.ext_degrees`,
 degree ends the check.  Each predicate's conditions come from a body
 (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
 returns them as a tuple of triples and runs once per (body, module key
-bytes, bound) in the current `homology.memo`, so the semidualizing and
-quasidualizing predicates and same-bytes modules under other names
-share one entry.
+bytes, bound) in the current `homology.memo`, beside the Hom and tensor
+data the bodies build, so the semidualizing and quasidualizing
+predicates and same-bytes modules under other names share one entry.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
-from .homology import ext_degrees, forces_vanishing, memo, tor_degrees
-from .module import regular_module
+from .homology import ext_degrees, forces_vanishing, tor_degrees
+from .module import memoized, regular_module
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -100,14 +100,11 @@ def _memoized(body):
     fresh CheckReport of their own."""
 
     @functools.wraps(body)
-    def memoized(*args):
-        facts = memo.get()
-        key = (body, *(m.key for m in args[:-1]), args[-1])
-        if key not in facts:
-            facts[key] = body(*args)
-        return facts[key]
+    def wrapper(*args):
+        return memoized((body, *(m.key for m in args[:-1]), args[-1]),
+                        body, *args)
 
-    return memoized
+    return wrapper
 
 
 @_memoized

@@ -120,8 +120,8 @@ def _suite_artinian_collapse(ring, bound, mods):
 
 def run_verify(ring, suites, bound, samples, seed):
     """Returns (report text, exit code).  The whole call runs in a fresh
-    `homology.memo_scope`: each resolution and predicate verdict is
-    computed once per call, and none outlives it."""
+    `homology.memo_scope`: each resolution, Hom, tensor and predicate
+    verdict is computed once per call, and none outlives it."""
     with homology.memo_scope():
         mods = sample_modules(ring, samples, seed)
         lines = []

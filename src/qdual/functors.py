@@ -11,17 +11,25 @@ Basis conventions are fixed once and reused everywhere:
   an element of M (x)_k N ordered (a, b) -> a*dimN + b is a flattened
   dim M x dim N matrix, i.e. a map N -> M^v, and the tensor basis is
   dual to the hom basis.
+
+`hom_module` and `tensor_module` are memoized in the run-scoped memo
+(`module.memo`, the dict that also holds resolutions and verdicts)
+under (function name, key of M, key of N): both return name-free
+modules and read-only arrays, so one value serves every caller, and
+the natural maps and the tensor's own Hom reuse it.  `matlis_dual` is
+not memoized, since its output name depends on the input's.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import RingMismatch
-from .module import Module, ModuleMap, regular_module
+from .module import Module, ModuleMap, memoized, regular_module
 
 
 @dataclass(frozen=True)
@@ -29,13 +37,13 @@ class HomData:
     """Hom module plus its explicit basis of map matrices.
 
     basis has shape (dimN * dimM, h); column j flattened row-major is
-    the matrix of the j-th basis homomorphism.  support lists the
+    the matrix of the j-th basis homomorphism.  support is the tuple of
     coordinates where the basis is the identity, so coordinates of a
     map are vec(map)[support].
     """
     module: Module
     basis: np.ndarray
-    support: list
+    support: tuple
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -65,10 +73,23 @@ class TensorData:
         self.sect.setflags(write=False)
 
 
+def _memoized(build):
+    """Wrap a functor build(M, N) so that it runs once per (its name, key
+    of M, key of N) in the current memo; the rings are compared before
+    the lookup."""
+
+    @functools.wraps(build)
+    def functor(m, n):
+        if m.ring.key != n.ring.key:
+            raise RingMismatch("functor arguments live over different rings")
+        return memoized((build.__name__, m.key, n.key), build, m, n)
+
+    return functor
+
+
+@_memoized
 def hom_module(m, n):
     """Hom_R(M, N) with the ring acting through the target."""
-    if m.ring.key != n.ring.key:
-        raise RingMismatch("functor arguments live over different rings")
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
@@ -83,9 +104,10 @@ def hom_module(m, n):
     action = (n.action @ basis.reshape(nn, nm * h) % p).reshape(
         ring.dim, nn * nm, h)[:, support, :]
     module = Module(ring, h, action, check=False)
-    return HomData(module, basis, support)
+    return HomData(module, basis, tuple(support))
 
 
+@_memoized
 def tensor_module(m, n):
     """M (x)_R N as the Matlis dual of Hom_R(N, M^v), since (M (x)_R N)^v
     = Hom_R(N, M^v) for finite-length modules.

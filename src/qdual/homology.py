@@ -12,13 +12,16 @@ syzygy, which is one canonical basis of its radical and one elimination
 picking the generators.  A zero kernel (always, over a field) takes
 only the first.
 
-One memo, the dict in the `memo` context variable, holds every derived
-fact, each a function of module bytes: resolution records under
-`module.key` and, from `classes`, predicate conditions under (body,
-module keys..., bound), a key shape that cannot collide with the first.
-Outside a run it is one process-level dict, emptied by
-`clear_resolution_cache`; `cli.run_verify` runs inside `memo_scope`,
-which swaps in a fresh dict, so nothing a run computes outlives it.
+One memo, the dict in the `memo` context variable (defined in `module`
+and imported here), holds every derived fact, each a function of module
+bytes: resolution records under `module.key`, Hom and tensor data from
+`functors` under ("hom_module" or "tensor_module", key of M, key of N)
+and, from `classes`, predicate conditions under (body, module keys...,
+bound); the three key shapes start with a tuple, a string and a
+function, so they cannot collide.  Outside a run it is one
+process-level dict, emptied by `clear_resolution_cache`;
+`cli.run_verify` runs inside `memo_scope`, which swaps in a fresh dict,
+so nothing a run computes outlives it.
 A record is a Betti list, a list of differentials and an augmentation,
 which `_resolution` extends in place, never copying a degree; the
 Ext/Tor loops index it directly.  qdual is single-threaded, so the
@@ -35,9 +38,7 @@ against.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ import numpy as np
 from . import linalg
 from .errors import NotAComplex, RingMismatch
 from .functors import matlis_dual
+# memo and memo_scope are re-exported as homology.memo and .memo_scope
 from .module import (Module, ModuleMap, free_action, free_module,
-                     generator_images, minimal_generators)
+                     generator_images, memo, memo_scope, memoized,
+                     minimal_generators)
 
 
 @dataclass(frozen=True)
@@ -69,26 +72,6 @@ class DimTable:
     dims: tuple
 
 
-# the current memo; its default is the process-level dict
-memo = contextvars.ContextVar("qdual_memo", default={})
-
-
-@contextmanager
-def memo_scope():
-    """Memoize into a fresh dict until the block is left, returning or
-    raising; the memo in force before is then restored."""
-    token = memo.set({})
-    try:
-        yield
-    finally:
-        memo.reset(token)
-
-
-def clear_resolution_cache():
-    """Empty the current memo, resolutions and verdicts alike."""
-    memo.get().clear()
-
-
 def minimal_free_resolution(module, length):
     """Minimal free resolution prefix of the given length, sliced from
     the module's cached resolution."""
@@ -102,14 +85,7 @@ def _resolution(module, length):
     extended in place until diffs holds at least `length` differentials."""
     ring = module.ring
     p = ring.p
-    facts = memo.get()
-    record = facts.get(module.key)
-    if record is None:
-        gens = minimal_generators(module)
-        augmentation = ModuleMap(free_module(ring, gens.shape[1]), module,
-                                 generator_images(module.action @ gens % p))
-        augmentation.matrix.setflags(write=False)
-        record = facts[module.key] = ([gens.shape[1]], [], augmentation)
+    record = memoized(module.key, _resolution_start, module)
     betti, diffs, augmentation = record
     while len(diffs) < length:
         prev = diffs[-1] if diffs else augmentation.matrix
@@ -129,6 +105,16 @@ def _resolution(module, length):
         betti.append(dmat.shape[1] // ring.dim)
         diffs.append(dmat)
     return record
+
+
+def _resolution_start(module):
+    """A new record: degree 0 only, the augmentation onto `module`."""
+    p = module.ring.p
+    gens = minimal_generators(module)
+    augmentation = ModuleMap(free_module(module.ring, gens.shape[1]), module,
+                             generator_images(module.action @ gens % p))
+    augmentation.matrix.setflags(write=False)
+    return [gens.shape[1]], [], augmentation
 
 
 def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):

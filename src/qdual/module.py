@@ -10,9 +10,18 @@ the first failing basis element with `linalg.first_mismatch`.  Every
 quotient and sequence comes from `_quotient`, and only `free_module`,
 `free_action` and `generator_images` know the coordinate layout of a
 free module R^b.
+
+The run-scoped memo lives here, beside `Module.key`, because every key
+in it is built from module keys: the dict held by the `memo` context
+variable, swapped fresh by `memo_scope` and emptied by
+`clear_resolution_cache`.  `memoized` is its one path for hits and
+misses; `homology`, `functors` and `classes` store their values in it.
 """
 
 from __future__ import annotations
+
+import contextvars
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -27,6 +36,36 @@ def _as_columns(vectors, rows, p):
     if arr.size == 0:
         return arr.reshape(rows, 0)
     return arr.reshape(rows, -1)
+
+
+# the current memo; its default is the process-level dict
+memo = contextvars.ContextVar("qdual_memo", default={})
+
+
+@contextmanager
+def memo_scope():
+    """Memoize into a fresh dict until the block is left, returning or
+    raising; the memo in force before is then restored."""
+    token = memo.set({})
+    try:
+        yield
+    finally:
+        memo.reset(token)
+
+
+def clear_resolution_cache():
+    """Empty the current memo: resolutions, Hom and tensor data and
+    verdicts alike."""
+    memo.get().clear()
+
+
+def memoized(key, build, *args):
+    """The value under `key` in the current memo, from build(*args) on
+    the first request."""
+    facts = memo.get()
+    if key not in facts:
+        facts[key] = build(*args)
+    return facts[key]
 
 
 class Module:
@@ -46,7 +85,8 @@ class Module:
 
     @property
     def key(self):
-        """Rebuilt on each read: most modules are never keyed."""
+        """The module's bytes over its ring, rebuilt on each read: the
+        memo key of every value derived from the module."""
         return (self.ring.key, self.dim, self.action.tobytes())
 
     def validate(self):

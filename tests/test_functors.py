@@ -1,17 +1,19 @@
 """Hom, tensor, Matlis duality and the natural transformations."""
 
 import itertools
+import sys
+import types
 
 import numpy as np
 import pytest
 from oracles import F4X, reference_tensor_module
 
-from qdual import (ModuleMap, biduality_map, builtin_module, corpus_ring,
-                   evaluation_map, gamma_map, hom_evaluation_map, hom_module,
-                   homothety_map, injective_hull, is_isomorphism,
-                   matlis_dual, parse_ring, regular_module, sample_modules,
-                   tensor_module, zero_module)
-from qdual import linalg
+from qdual import (Module, ModuleMap, biduality_map, builtin_module,
+                   clear_resolution_cache, corpus_ring, evaluation_map,
+                   gamma_map, hom_evaluation_map, hom_module, homothety_map,
+                   injective_hull, is_isomorphism, matlis_dual, parse_ring,
+                   regular_module, sample_modules, tensor_module, zero_module)
+from qdual import cli, functors, homology, linalg
 from qdual.errors import RingMismatch
 
 RINGS = {name: corpus_ring(name) for name in ("r1", "r3", "r5", "r6")}
@@ -333,3 +335,128 @@ def test_functor_data_is_read_only():
         assert array.size
         with pytest.raises(ValueError):
             array[0, 0] = 1
+    # the memo hands one HomData to every caller, support included
+    assert isinstance(hom.support, tuple) and hom.support
+    with pytest.raises(TypeError):
+        hom.support[0] = 1
+
+
+# Hom and tensor data live in the run-scoped memo.  Functors builds a
+# Hom with exactly one kernel_with_support call and a tensor with one
+# Hom, so counting functors' kernel_with_support calls counts Hom
+# constructions; resolutions reach kernel_with_support through
+# linalg.kernel_basis, so the spy sees only the calls made by functors.
+
+def _hom_builds(monkeypatch):
+    builds = []
+
+    def spy(a, p):
+        builds.append(a.shape)
+        return linalg.kernel_with_support(a, p)
+
+    monkeypatch.setattr(functors, "linalg", types.SimpleNamespace(
+        **{**vars(linalg), "kernel_with_support": spy}))
+    return builds
+
+
+def _renamed(m, name):
+    return Module(m.ring, m.dim, m.action, name=name, check=False)
+
+
+def test_memo_builds_each_functor_once_per_scope(monkeypatch):
+    ring = RINGS["r5"]
+    e, k = injective_hull(ring), builtin_module(ring, "k")
+    builds = _hom_builds(monkeypatch)
+    with homology.memo_scope():
+        hom = hom_module(e, k)
+        assert hom_module(_renamed(e, "E2"), _renamed(k, "k2")) is hom
+        assert len(builds) == 1
+        tens = tensor_module(e, k)
+        assert tensor_module(_renamed(e, "E2"), _renamed(k, "k2")) is tens
+        assert len(builds) == 2
+        # the tensor's own Hom(k, E^v) serves Hom(k, R): E^v has R's bytes
+        hom_module(k, regular_module(ring))
+        biduality_map(e, k)                     # Hom(E, k) is cached
+        assert len(builds) == 3                 # one more: Hom(Hom(E,k),k)
+    with homology.memo_scope():                 # a new scope rebuilds
+        assert hom_module(e, k) is not hom
+        assert len(builds) == 4
+
+
+def _assert_same_arrays(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_memo_hit_matches_a_fresh_construction(ring):
+    mods = [builtin_module(ring, name) for name in ("R", "E", "k", "0")]
+    mods += sample_modules(ring, 4, 7)
+    pairs = list(itertools.product(mods, repeat=2))
+    with homology.memo_scope():
+        for m, n in pairs:                      # fill the memo
+            hom_module(m, n)
+            tensor_module(m, n)
+        hits = [(hom_module(m, n), tensor_module(m, n)) for m, n in pairs]
+    for (m, n), (hom, tens) in zip(pairs, hits):
+        with homology.memo_scope():
+            fresh_hom = hom_module(m, n)
+        with homology.memo_scope():
+            fresh_tens = tensor_module(m, n)
+        assert hom.module.key == fresh_hom.module.key
+        assert tens.module.key == fresh_tens.module.key
+        assert hom.module.name is tens.module.name is None
+        assert hom.support == fresh_hom.support
+        _assert_same_arrays(hom.basis, fresh_hom.basis)
+        _assert_same_arrays(tens.proj, fresh_tens.proj)
+        _assert_same_arrays(tens.sect, fresh_tens.sect)
+
+
+def test_memo_keeps_rings_apart():
+    # the zero modules over r2 and r3 have the same bytes
+    z2, z3 = zero_module(corpus_ring("r2")), zero_module(corpus_ring("r3"))
+    assert (z2.dim, z2.action.tobytes()) == (z3.dim, z3.action.tobytes())
+    with homology.memo_scope():
+        for build in (hom_module, tensor_module):
+            build(z2, z2)
+            build(z3, z3)
+            for args in ((z2, z3), (z3, z2)):
+                with pytest.raises(RingMismatch):
+                    build(*args)
+
+
+def test_clear_resolution_cache_also_empties_functor_data(monkeypatch):
+    ring = RINGS["r3"]
+    e, k = injective_hull(ring), builtin_module(ring, "k")
+    builds = _hom_builds(monkeypatch)
+    with homology.memo_scope():
+        hom_module(e, k)
+        tensor_module(e, k)
+        assert len(builds) == 2
+        clear_resolution_cache()
+        assert homology.memo.get() == {}
+        hom_module(e, k)
+        tensor_module(e, k)
+        assert len(builds) == 4
+
+
+def test_run_verify_builds_each_requested_hom_once(monkeypatch):
+    # every hom_module binding in the package, as the module-level
+    # imports in classes and cli hold their own reference
+    requests = []
+    real = functors.hom_module
+
+    def spy(m, n):
+        requests.append((m.key, n.key))
+        return real(m, n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qdual") and getattr(mod, "hom_module",
+                                                None) is real:
+            monkeypatch.setattr(mod, "hom_module", spy)
+    builds = _hom_builds(monkeypatch)
+    cli.run_verify(corpus_ring("r3"), list(cli.SUITES), 4, 4, 7)
+    assert len(builds) == len(set(requests)) < len(requests)
