@@ -15,15 +15,15 @@ other vanishing is checked one degree at a time (`homology.ext_degrees`,
 `tor_degrees`), so each degree is ranked once and the first nonzero
 degree ends the check.  Each predicate's conditions come from a body
 (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
-returns them as a tuple of triples and runs once per (body, module key
-bytes, bound) in the current `homology.memo`, beside the Hom and tensor
-data the bodies build, so the semidualizing and quasidualizing
-predicates and same-bytes modules under other names share one entry.
+returns them as an immutable tuple of (label, verdict, witness) string
+triples and is wrapped by `module.memoized`, so the semidualizing and
+quasidualizing predicates and same-bytes modules under other names
+share one entry.  Names play no part: each predicate puts the tuple in
+a fresh CheckReport of its own.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -92,22 +92,7 @@ def _vanishing(label, degrees, name, m, n, bound):
     return (label, PASS, "")
 
 
-def _memoized(body):
-    """Wrap a body(*modules, bound) that returns its conditions as an
-    immutable tuple of (label, verdict, witness) string triples so that
-    it runs once per (body, each module's key bytes, bound) in the
-    current memo.  Names play no part: the callers put the tuple in a
-    fresh CheckReport of their own."""
-
-    @functools.wraps(body)
-    def wrapper(*args):
-        return memoized((body, *(m.key for m in args[:-1]), args[-1]),
-                        body, *args)
-
-    return wrapper
-
-
-@_memoized
+@memoized
 def _dualizing(c, bound):
     """The conditions both dualizing predicates share."""
     return (_iso("homothety-iso", homothety_map(c)),
@@ -130,7 +115,7 @@ def is_quasidualizing(t, bound=DEFAULT_BOUND):
         *_dualizing(t, bound)))
 
 
-@_memoized
+@memoized
 def _derived_reflexive(l, m, bound):
     return (_iso("biduality-iso", biduality_map(l, m)),
             _vanishing("ext(L,M)-vanishing", ext_degrees, "Ext^%d", l, m,
@@ -145,7 +130,7 @@ def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
                        _derived_reflexive(l, m, bound))
 
 
-@_memoized
+@memoized
 def _bass(l, lp, bound):
     return (_iso("evaluation-iso", evaluation_map(lp, l)),
             _vanishing("ext(L',L)-vanishing", ext_degrees, "Ext^%d", lp, l,
@@ -159,7 +144,7 @@ def in_bass_class(l, lp, bound=DEFAULT_BOUND):
     return CheckReport("bass-class", bound, _bass(l, lp, bound))
 
 
-@_memoized
+@memoized
 def _auslander(l, lp, bound):
     return (_iso("gamma-iso", gamma_map(lp, l)),
             _vanishing("tor(L',L)-vanishing", tor_degrees, "Tor_%d", lp, l,

@@ -120,11 +120,6 @@ def corpus_ring(name):
     return parse_ring(corpus_source(name))
 
 
-def builtin_corpus():
-    """Name -> validated Ring for every valid corpus entry."""
-    return {name: corpus_ring(name) for name in VALID_NAMES}
-
-
 def builtin_module(ring, name):
     """The named standard module over a ring: R, E, k or 0."""
     if name == "R":

@@ -59,14 +59,6 @@ class NotSubmodule(QdualError):
     """A subspace is not closed under the ring action."""
 
 
-class NotAComplex(QdualError):
-    """Consecutive differentials do not compose to zero."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class NotQuasidualizing(QdualError):
     """A theorem checker was handed a parameter module that fails its
     quasidualizing hypothesis."""

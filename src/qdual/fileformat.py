@@ -67,6 +67,18 @@ def _parse_rows(value, lineno):
             for chunk in value.split("/")] if value else []
 
 
+def _int_field(fields, key, least=None):
+    """The integer value of a field; a bad value is blamed on its line."""
+    value, lineno = fields[key]
+    try:
+        n = int(value)
+    except ValueError:
+        raise ParseError("%s must be an integer" % key, line=lineno)
+    if least is not None and n < least:
+        raise ParseError("%s must be at least %d" % (key, least), line=lineno)
+    return n
+
+
 def _read_section(text, section, fields, usage, parse_value):
     """(header line, {field: (value, line)}, {indices: (parsed value,
     line)}) of a one-section file whose indexed lines are keyed as
@@ -124,11 +136,8 @@ def parse_ring(text):
         text, "ring", ("name", "p", "dim", "unit"), "mul <i> <j>",
         _parse_ints)
     name = fields["name"][0]
-    try:
-        p = int(fields["p"][0])
-        dim = int(fields["dim"][0])
-    except ValueError:
-        raise ParseError("p and dim must be integers", line=fields["p"][1])
+    p = _int_field(fields, "p")
+    dim = _int_field(fields, "dim", least=0)
     unit = _parse_ints(*fields["unit"])
     if len(unit) != dim:
         raise ParseError("unit must have %d coordinates" % dim,
@@ -162,10 +171,7 @@ def parse_module(text, ring_table):
     if ring_name not in ring_table:
         raise UnknownRing("module references unknown ring %r" % ring_name)
     ring = ring_table[ring_name]
-    try:
-        dim = int(fields["dim"][0])
-    except ValueError:
-        raise ParseError("dim must be an integer", line=fields["dim"][1])
+    dim = _int_field(fields, "dim", least=0)
     # every line is checked before the action table is allocated
     for i in range(ring.dim):
         if (i,) not in acts:

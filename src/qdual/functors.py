@@ -12,17 +12,15 @@ Basis conventions are fixed once and reused everywhere:
   dim M x dim N matrix, i.e. a map N -> M^v, and the tensor basis is
   dual to the hom basis.
 
-`hom_module` and `tensor_module` are memoized in the run-scoped memo
-(`module.memo`, the dict that also holds resolutions and verdicts)
-under (function name, key of M, key of N): both return name-free
-modules and read-only arrays, so one value serves every caller, and
-the natural maps and the tensor's own Hom reuse it.  `matlis_dual` is
-not memoized, since its output name depends on the input's.
+`hom_module` and `tensor_module` are wrapped by `module.memoized`:
+both return name-free modules and read-only arrays, so one value
+serves every caller, and the natural maps and the tensor's own Hom
+reuse it.  `matlis_dual` is not memoized, since its output name
+depends on the input's.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,23 +71,11 @@ class TensorData:
         self.sect.setflags(write=False)
 
 
-def _memoized(build):
-    """Wrap a functor build(M, N) so that it runs once per (its name, key
-    of M, key of N) in the current memo; the rings are compared before
-    the lookup."""
-
-    @functools.wraps(build)
-    def functor(m, n):
-        if m.ring.key != n.ring.key:
-            raise RingMismatch("functor arguments live over different rings")
-        return memoized((build.__name__, m.key, n.key), build, m, n)
-
-    return functor
-
-
-@_memoized
+@memoized
 def hom_module(m, n):
     """Hom_R(M, N) with the ring acting through the target."""
+    if m.ring.key != n.ring.key:
+        raise RingMismatch("functor arguments live over different rings")
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
@@ -107,7 +93,7 @@ def hom_module(m, n):
     return HomData(module, basis, tuple(support))
 
 
-@_memoized
+@memoized
 def tensor_module(m, n):
     """M (x)_R N as the Matlis dual of Hom_R(N, M^v), since (M (x)_R N)^v
     = Hom_R(N, M^v) for finite-length modules.
@@ -181,25 +167,6 @@ def gamma_map(lp, l):
     flat = tens.proj.reshape(tens.module.dim * lp.dim, l.dim)
     coords = hom.coords(flat)
     return ModuleMap(l, hom.module, coords)
-
-
-def hom_evaluation_map(l, lp, lpp):
-    """theta: L (x) Hom(L', L'') -> Hom(Hom(L, L'), L'')."""
-    p = l.ring.p
-    h1 = hom_module(lp, lpp)
-    h2 = hom_module(l, lp)
-    h3 = hom_module(h2.module, lpp)
-    k1 = h1.basis.shape[1]
-    k2 = h2.basis.shape[1]
-    tens = tensor_module(l, h1.module)
-    # column (a, j) is beta_m -> phi_j beta_m e_a: entry (z, m) is
-    # sum_y phi_j[z, y] beta_m[y, a]
-    flat = np.einsum("zyj,yam->zmaj", h1.basis.reshape(lpp.dim, lp.dim, k1),
-                     h2.basis.reshape(lp.dim, l.dim, k2)) % p
-    flat = flat.reshape(lpp.dim * k2, l.dim * k1)
-    full = h3.coords(flat)                      # h3-coords on L (x) H1 basis
-    matrix = full @ tens.sect % p
-    return ModuleMap(tens.module, h3.module, matrix)
 
 
 def is_isomorphism(f):

@@ -1,5 +1,5 @@
-"""Minimal free resolutions, injective resolutions through duality, and
-Ext/Tor dimension tables, with Ext through E as their Matlis swap.
+"""Minimal free resolutions and Ext/Tor dimension tables, with Ext
+through E as their Matlis swap.
 
 Free modules R^b keep the coordinates of `module.free_module`, and
 `module.free_action` applies e_i to columns of R^b without building
@@ -12,17 +12,13 @@ syzygy, which is one canonical basis of its radical and one elimination
 picking the generators.  A zero kernel (always, over a field) takes
 only the first.
 
-One memo, the dict in the `memo` context variable (defined in `module`
-and imported here), holds every derived fact, each a function of module
-bytes: resolution records under `module.key`, Hom and tensor data from
-`functors` under ("hom_module" or "tensor_module", key of M, key of N)
-and, from `classes`, predicate conditions under (body, module keys...,
-bound); the three key shapes start with a tuple, a string and a
-function, so they cannot collide.  Outside a run it is one
-process-level dict, emptied by `clear_resolution_cache`;
-`cli.run_verify` runs inside `memo_scope`, which swaps in a fresh dict,
-so nothing a run computes outlives it.
-A record is a Betti list, a list of differentials and an augmentation,
+Each module's resolution record comes from `_resolution_start`, which
+`module.memoized` wraps, so it lives in the run-scoped memo
+(`module.memo`, re-exported here) beside Hom, tensor and verdict data.
+Outside a run the memo is one process-level dict, emptied by
+`clear_resolution_cache`; `cli.run_verify` runs inside `memo_scope`,
+which swaps in a fresh dict, so nothing a run computes outlives it.  A
+record is a Betti list, a list of differentials and an augmentation,
 which `_resolution` extends in place, never copying a degree; the
 Ext/Tor loops index it directly.  qdual is single-threaded, so the
 memo takes no lock.  Cached arrays are read-only, because every caller
@@ -44,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotAComplex, RingMismatch
+from .errors import RingMismatch
 from .functors import matlis_dual
 # memo and memo_scope are re-exported as homology.memo and .memo_scope
 from .module import (Module, ModuleMap, free_action, free_module,
@@ -85,7 +81,7 @@ def _resolution(module, length):
     extended in place until diffs holds at least `length` differentials."""
     ring = module.ring
     p = ring.p
-    record = memoized(module.key, _resolution_start, module)
+    record = _resolution_start(module)
     betti, diffs, augmentation = record
     while len(diffs) < length:
         prev = diffs[-1] if diffs else augmentation.matrix
@@ -107,6 +103,7 @@ def _resolution(module, length):
     return record
 
 
+@memoized
 def _resolution_start(module):
     """A new record: degree 0 only, the augmentation onto `module`."""
     p = module.ring.p
@@ -203,38 +200,3 @@ def ext_dims_via_injective(m, n, bound):
     the Matlis swap of `ext_dims`, over the same memoized resolution.
     """
     return ext_dims(matlis_dual(n), matlis_dual(m), bound)
-
-
-def injective_resolution(module, length):
-    """Coresolution M -> E^{b_0} -> ... -> E^{b_length} by duality.
-
-    Returns (betti, maps, coaugmentation) where maps[i] is the field
-    matrix E^{b_i} -> E^{b_i+1} and the coaugmentation embeds M into
-    E^{b_0}.  Betti numbers equal those of M^dual.
-    """
-    ring = module.ring
-    p = ring.p
-    res = minimal_free_resolution(matlis_dual(module), length)
-    maps = [d.T % p for d in res.diffs]
-    coaug = res.augmentation.matrix.T % p
-    return res.betti, maps, coaug
-
-
-def complex_homology(diffs, p):
-    """Homology dimensions of a chain complex given by its matrices.
-
-    diffs[i] is d_{i+1}: C_{i+1} -> C_i (shape dim C_i x dim C_{i+1});
-    returns dims H_0..H_k for k = len(diffs).  Raises NotAComplex at
-    the first index where consecutive maps fail to compose to zero.
-    """
-    if not diffs:
-        return []
-    for i in range(len(diffs) - 1):
-        if diffs[i].shape[1] != diffs[i + 1].shape[0]:
-            raise NotAComplex("shape mismatch between d%d and d%d"
-                              % (i + 1, i + 2), index=i)
-        if np.any(diffs[i] @ diffs[i + 1] % p):
-            raise NotAComplex("d%d . d%d != 0" % (i + 1, i + 2), index=i)
-    spaces = [diffs[0].shape[0]] + [d.shape[1] for d in diffs]
-    ranks = [linalg.rank(d, p) for d in diffs] + [0]
-    return list(_homology_dims(zip(spaces, ranks)))

@@ -11,16 +11,17 @@ quotient and sequence comes from `_quotient`, and only `free_module`,
 `free_action` and `generator_images` know the coordinate layout of a
 free module R^b.
 
-The run-scoped memo lives here, beside `Module.key`, because every key
-in it is built from module keys: the dict held by the `memo` context
-variable, swapped fresh by `memo_scope` and emptied by
-`clear_resolution_cache`.  `memoized` is its one path for hits and
-misses; `homology`, `functors` and `classes` store their values in it.
+The run-scoped memo lives here, beside `Module.key`: the dict held by
+the `memo` context variable, swapped fresh by `memo_scope` and emptied
+by `clear_resolution_cache`.  Its one rule: a value is keyed by the
+function that built it and its arguments' bytes.  The `memoized`
+decorator is the one path that writes it.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -59,13 +60,20 @@ def clear_resolution_cache():
     memo.get().clear()
 
 
-def memoized(key, build, *args):
-    """The value under `key` in the current memo, from build(*args) on
-    the first request."""
-    facts = memo.get()
-    if key not in facts:
-        facts[key] = build(*args)
-    return facts[key]
+def memoized(build):
+    """Wrap build(*args) so that it runs once per (build, args with each
+    Module replaced by its key) in the current memo; every caller gets
+    the one stored value."""
+
+    @functools.wraps(build)
+    def wrapper(*args):
+        key = (build, *[a.key if isinstance(a, Module) else a for a in args])
+        facts = memo.get()
+        if key not in facts:
+            facts[key] = build(*args)
+        return facts[key]
+
+    return wrapper
 
 
 class Module:
@@ -276,21 +284,6 @@ def closure_generators(module, vectors):
     return np.concatenate([vectors, *(module.action @ vectors % p)], axis=1)
 
 
-def span_closure(module, vectors):
-    """(canonical basis, pivots) of R V: a canonical basis depends only
-    on the span, so one elimination of `closure_generators` gives it."""
-    return linalg.canon_basis(closure_generators(module, vectors),
-                              module.ring.p)
-
-
-def submodule_generated(module, vectors):
-    """(submodule as a Module, inclusion ModuleMap)."""
-    basis, pivots = span_closure(module, vectors)
-    sub = _submodule(module, basis, pivots)
-    # R V is closed by construction; the inclusion's check confirms it
-    return sub, ModuleMap(sub, module, basis)
-
-
 def _submodule(module, basis, pivots):
     """The submodule with canonical basis `basis`, in its coordinates."""
     return Module(module.ring, basis.shape[1],
@@ -326,16 +319,6 @@ def quotient_module(module, subspace):
     complement; proj @ sect = I splits the projection as linear maps
     (not as module maps)."""
     return _quotient(module, subspace)[2:]
-
-
-def direct_sum(a, b):
-    if a.ring.key != b.ring.key:
-        raise RingMismatch("direct sum over different rings")
-    n, m = a.dim, b.dim
-    action = np.zeros((a.ring.dim, n + m, n + m), dtype=np.int64)
-    action[:, :n, :n] = a.action
-    action[:, n:, n:] = b.action
-    return Module(a.ring, n + m, action, check=False)
 
 
 def ses_from_submodule(module, subspace):

@@ -1,6 +1,8 @@
 """Bounded predicates and theorem checkers."""
 
+import contextlib
 import dataclasses
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from qdual import (builtin_module, check_artinian_collapse,
                    random_ses, regular_module, sample_modules,
                    ses_from_submodule, socle, zero_module)
 from qdual.errors import NotQuasidualizing
+from qdual.module import memoized
 
 RINGS = {name: corpus_ring(name) for name in ("r1", "r3", "r5", "r6")}
 
@@ -269,9 +272,10 @@ def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
         ("quasidualizing(%s)" % e.name, "artinian")]
     assert x.name != e.name
     assert reports[0].conditions[1:] == reports[2].conditions[1:]
-    # the scope also holds resolution records, keyed by module keys;
-    # verdict keys start with the body
-    verdicts = [v for k, v in memo.items() if callable(k[0])]
+    # the scope also holds resolution records and Hom data; verdict
+    # keys start with a body from classes
+    verdicts = [v for k, v in memo.items()
+                if k[0].__module__ == classes.__name__]
     assert len(verdicts) == 1
     for value in verdicts:
         assert isinstance(value, tuple)
@@ -311,7 +315,8 @@ def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
     before = list(process)
     cli.run_verify(ring, ["two-of-three", "duality-swap"], 3, 2, 0)
     assert list(process) == before
-    assert len(process[k.key][1]) == 2     # k's record was not extended
+    record = process[(homology._resolution_start.__wrapped__, k.key)]
+    assert len(record[1]) == 2             # k's record was not extended
 
     def broken(t, m, bound):
         raise RuntimeError("checker failed")
@@ -321,6 +326,31 @@ def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
         # two-of-three resolves and memoizes verdicts before theorem-b
         cli.run_verify(ring, ["two-of-three", "theorem-b"], 3, 2, 0)
     assert list(process) == before
+
+
+def test_every_memo_key_is_its_build_and_argument_bytes(monkeypatch):
+    ring = RINGS["r5"]
+    with homology.memo_scope():
+        # the run fills this scope's memo instead of a fresh one
+        monkeypatch.setattr(homology, "memo_scope", contextlib.nullcontext)
+        cli.run_verify(ring, ["theorem-b", "class-equality"], 4, 2, 7)
+        keys = list(homology.memo.get())
+    for build, *args in keys:
+        # the function that built the value, as memoized wraps it
+        wrapper = getattr(sys.modules[build.__module__], build.__name__)
+        assert wrapper.__wrapped__ is build
+        assert wrapper.__code__ is memoized(len).__code__
+        assert len(args) == build.__code__.co_argcount
+        for arg in args:
+            if isinstance(arg, tuple):         # a module, as its key
+                ring_key, dim, action = arg
+                assert ring_key == ring.key and type(dim) is int
+                assert len(action) == ring.dim * dim * dim * 8
+            else:                              # a bound
+                assert type(arg) is int
+    assert {key[0].__name__ for key in keys} == {
+        "hom_module", "tensor_module", "_resolution_start", "_dualizing",
+        "_derived_reflexive", "_bass", "_auslander"}
 
 
 def test_clear_resolution_cache_also_empties_verdicts(monkeypatch):

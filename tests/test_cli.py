@@ -326,3 +326,34 @@ def test_out_of_range_act_line_is_a_parse_error(tmp_path, line):
     assert code == 2
     assert out == ""
     assert err == "parse error: line %d: act index out of range\n" % lineno
+
+
+@pytest.mark.parametrize("dim,message", [
+    ("x", "dim must be an integer"), ("-1", "dim must be at least 0")])
+def test_bad_ring_dim_is_blamed_on_its_line(tmp_path, dim, message):
+    path = tmp_path / "ring.txt"
+    path.write_text("[ring]\nname = x\np = 2\ndim = %s\nunit = 1\n"
+                    "mul 0 0 = 1\n" % dim, encoding="utf-8")
+    code, out, err = run_cli(["check-ring", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: line 4: %s\n" % message
+
+
+def test_ring_of_dim_0_is_invalid(tmp_path):
+    path = tmp_path / "ring.txt"
+    path.write_text("[ring]\nname = x\np = 2\ndim = 0\nunit =\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(["check-ring", str(path)])
+    assert code == 1
+    assert err == "invalid ring (unit): ring dimension must be at least 1\n"
+
+
+def test_negative_module_dim_is_blamed_on_its_line(tmp_path):
+    path = tmp_path / "mod.txt"
+    path.write_text("[module]\nname = m\nring = r3\ndim = -2\n"
+                    "act 0 = 1\nact 1 = 0\n", encoding="utf-8")
+    code, out, err = run_cli(["dual", "--ring", "corpus:r3", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: line 4: dim must be at least 0\n"

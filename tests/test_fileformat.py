@@ -44,6 +44,32 @@ def test_parse_error_carries_line_number():
     assert "line" in str(info.value)
 
 
+RING_TEXT = "[ring]\nname = x\np = 2\ndim = 1\nunit = 1\nmul 0 0 = 1\n"
+MODULE_TEXT = "[module]\nname = k\nring = r3\ndim = 1\nact 0 = 1\nact 1 = 0\n"
+
+
+@pytest.mark.parametrize("old,new,message,lineno", [
+    ("p = 2", "p = two", "p must be an integer", 3),
+    ("dim = 1", "dim = x", "dim must be an integer", 4),
+    ("dim = 1", "dim = -1", "dim must be at least 0", 4),
+    ("dim = 1", "dim = -3", "dim must be at least 0", 4)])
+def test_ring_field_errors_name_the_field_line(old, new, message, lineno):
+    with pytest.raises(ParseError) as info:
+        parse_ring(RING_TEXT.replace(old, new))
+    assert info.value.line == lineno
+    assert str(info.value) == "line %d: %s" % (lineno, message)
+
+
+@pytest.mark.parametrize("new,message", [
+    ("dim = y", "dim must be an integer"),
+    ("dim = -2", "dim must be at least 0")])
+def test_module_dim_errors_name_the_dim_line(new, message):
+    with pytest.raises(ParseError) as info:
+        parse_module(MODULE_TEXT.replace("dim = 1", new),
+                     {"r3": corpus_ring("r3")})
+    assert str(info.value) == "line 4: %s" % message
+
+
 def test_missing_mul_line_rejected():
     text = "[ring]\nname = x\np = 2\ndim = 2\nunit = 1 0\nmul 0 0 = 1 0\n" \
            "mul 0 1 = 0 1\n"

@@ -10,9 +10,9 @@ from oracles import F4X, reference_tensor_module
 
 from qdual import (Module, ModuleMap, biduality_map, builtin_module,
                    clear_resolution_cache, corpus_ring, evaluation_map,
-                   gamma_map, hom_evaluation_map, hom_module, homothety_map,
-                   injective_hull, is_isomorphism, matlis_dual, parse_ring,
-                   regular_module, sample_modules, tensor_module, zero_module)
+                   gamma_map, hom_module, homothety_map, injective_hull,
+                   is_isomorphism, matlis_dual, parse_ring, regular_module,
+                   sample_modules, tensor_module, zero_module)
 from qdual import cli, functors, homology, linalg
 from qdual.errors import RingMismatch
 
@@ -121,14 +121,6 @@ def test_gamma_map_with_regular_parameter():
             assert is_isomorphism(g)[0]
 
 
-def test_hom_evaluation_map_free_case():
-    r5 = RINGS["r5"]
-    reg = regular_module(r5)
-    k = builtin_module(r5, "k")
-    theta = hom_evaluation_map(reg, k, k)
-    assert is_isomorphism(theta)[0]
-
-
 def test_adjunction_dimension_law():
     # dim Hom(M (x) N, L) = dim Hom(M, Hom(N, L))
     r5 = RINGS["r5"]
@@ -158,9 +150,6 @@ def test_ring_mismatch_rejected():
         for args in ((a, b), (b, a)):
             with pytest.raises(RingMismatch):
                 build(*args)
-    for args in ((b, a, a), (a, b, a), (a, a, b)):
-        with pytest.raises(RingMismatch):
-            hom_evaluation_map(*args)
 
 
 def test_zero_module_edge_cases():
@@ -224,30 +213,6 @@ def loop_gamma_map(lp, l):
     return ModuleMap(l, hom.module, coords)
 
 
-def loop_hom_evaluation_map(l, lp, lpp):
-    p = l.ring.p
-    h1 = hom_module(lp, lpp)
-    h2 = hom_module(l, lp)
-    h3 = hom_module(h2.module, lpp)
-    k1 = h1.basis.shape[1]
-    k2 = h2.basis.shape[1]
-    tens = tensor_module(l, h1.module)
-    cols = []
-    for a in range(l.dim):
-        for j in range(k1):
-            phi = h1.basis[:, j].reshape(lpp.dim, lp.dim)
-            theta = np.zeros((lpp.dim, k2), dtype=np.int64)
-            for mdx in range(k2):
-                beta = h2.basis[:, mdx].reshape(lp.dim, l.dim)
-                theta[:, mdx] = phi @ beta[:, a] % p
-            cols.append(theta.reshape(-1))
-    flat = np.stack(cols, axis=1) if cols else linalg.zeros(
-        lpp.dim * k2, 0)
-    full = h3.coords(flat)                      # h3-coords on L (x) H1 basis
-    matrix = full @ tens.sect % p
-    return ModuleMap(tens.module, h3.module, matrix)
-
-
 def _assert_same_map(got, want):
     assert got.source.key == want.source.key
     assert got.target.key == want.target.key
@@ -266,10 +231,6 @@ def test_natural_maps_match_loop_reference(ring):
         _assert_same_map(biduality_map(a, b), loop_biduality_map(a, b))
         _assert_same_map(evaluation_map(a, b), loop_evaluation_map(a, b))
         _assert_same_map(gamma_map(a, b), loop_gamma_map(a, b))
-    # the zero module in each slot, and builtins and samples in all three
-    for a, b, c in itertools.product(mods[:2] + mods[3:6], repeat=3):
-        _assert_same_map(hom_evaluation_map(a, b, c),
-                         loop_hom_evaluation_map(a, b, c))
 
 
 def loop_hom_action(m, n, basis, support):

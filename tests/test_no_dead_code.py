@@ -1,11 +1,14 @@
 """Every module-level function and class in the package has a caller,
 and every method and property of a package class is read.
 
-A module-level name counts as used when it is exported in
-`qdual.__all__` or is referenced (called, read as an attribute or
-imported) somewhere in the package outside its own definition.  A
-non-dunder method or property counts as read when `x.name` is read
-somewhere in the package, the tests or `bench/` outside its own body.
+A module-level name counts as used when it is referenced (called, read
+as an attribute or looked up by `getattr` with a constant name; an
+import alone is not a use) outside the tests and outside unused
+definitions: in the package outside its own definition, in `demos/`
+or in `bench/`.  Being listed in `qdual.__all__` does not count, so an
+export that only the tests call is dead code.  A non-dunder method or property counts as read when
+`x.name` is read somewhere in the package, the tests or `bench/`
+outside its own body.
 """
 
 import ast
@@ -17,6 +20,10 @@ import qdual
 PACKAGE = Path(qdual.__file__).resolve().parent
 REPO = Path(__file__).resolve().parents[1]
 
+# serialize_ring is the writer half of the ring file format, which the
+# tests use to write ring files; nothing else in the repo writes one
+EXEMPT = {"serialize_ring"}
+
 
 def _referenced(node):
     for sub in ast.walk(node):
@@ -24,8 +31,10 @@ def _referenced(node):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name
+        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+              and sub.func.id == "getattr" and len(sub.args) > 1
+              and isinstance(sub.args[1], ast.Constant)):
+            yield sub.args[1].value
 
 
 def test_every_module_level_definition_has_a_caller():
@@ -34,15 +43,28 @@ def test_every_module_level_definition_has_a_caller():
     uses = Counter()
     for tree in trees.values():
         uses.update(_referenced(tree))
-    unused = []
-    for fname, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            own = Counter(_referenced(node))[node.name]
-            if node.name not in qdual.__all__ and uses[node.name] <= own:
-                unused.append("%s:%s" % (fname, node.name))
-    assert not unused, "defined but never used: %s" % ", ".join(unused)
+    for folder in ("demos", "bench"):
+        for path in sorted((REPO / folder).glob("*.py")):
+            uses.update(_referenced(ast.parse(
+                path.read_text(encoding="utf-8"))))
+    definitions = {"%s:%s" % (fname, node.name): node
+                   for fname, tree in trees.items() for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    # references made inside unused definitions do not count, so a name
+    # that only dead code uses is found too
+    unused = set()
+    while True:
+        live = uses.copy()
+        for label in unused:
+            live.subtract(_referenced(definitions[label]))
+        found = {label for label, node in definitions.items()
+                 if node.name not in EXEMPT and live[node.name]
+                 <= Counter(_referenced(node))[node.name]}
+        if found == unused:
+            break
+        unused = found
+    assert not unused, "defined but never used: %s" % ", ".join(
+        sorted(unused))
 
 
 def _attribute_reads(node):
