@@ -8,13 +8,14 @@ immutable and carries one (label, verdict, witness) triple per
 condition; its verdict is read from them, so a vacuous report is one
 whose conditions say VACUOUS.
 
-A vanishing that structure forces (`homology.forces_vanishing`: M is
-free, or N is injective for Ext or free for Tor) passes before any
-degree is ranked, with the condition the degree loop would return.  Any
-other vanishing is checked one degree at a time (`homology.ext_degrees`,
-`tor_degrees`), so each degree is ranked once and the first nonzero
-degree ends the check.  Each predicate's conditions come from a body
-(`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
+Every vanishing is one of Tor_i(M, N): an Ext^i(M, N) condition is
+checked as Tor_i(M, N^v), which has the same dimension.  A vanishing
+that structure forces (`homology.forces_vanishing`: M or N is free)
+passes before any degree is ranked, with the condition the degree loop
+would return.  Any other vanishing is checked one degree at a time
+(`homology.tor_degrees`), so each degree is ranked once and the first
+nonzero degree ends the check.  Each predicate's conditions come from a
+body (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
 returns them as an immutable tuple of (label, verdict, witness) string
 triples and is wrapped by `module.memoized`, so the semidualizing and
 quasidualizing predicates and same-bytes modules under other names
@@ -31,7 +32,7 @@ from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
-from .homology import ext_degrees, forces_vanishing, tor_degrees
+from .homology import forces_vanishing, tor_degrees
 from .module import memoized, regular_module
 
 PASS = "PASS"
@@ -78,14 +79,15 @@ def _iso(label, f):
         diag["injective"], diag["surjective"]))
 
 
-def _vanishing(label, degrees, name, m, n, bound):
-    """One condition: degrees 1..B of degrees(M, N) vanish; `name`
-    formats the failing degree, as "Ext^%d"."""
+def _vanishing(label, name, m, n, bound):
+    """One condition: Tor_i(M, N) = 0 for 1 <= i <= B; `name` formats
+    the failing degree, as "Tor_%d", or "Ext^%d" when N is the dual of
+    the Ext target."""
     # a forced vanishing ranks no degree; otherwise each degree is ranked
     # once, and the first nonzero one ends the loop
-    if forces_vanishing(degrees, m, n):
+    if forces_vanishing(m, n):
         return (label, PASS, "")
-    for i, d in enumerate(itertools.islice(degrees(m, n), 1, bound + 1),
+    for i, d in enumerate(itertools.islice(tor_degrees(m, n), 1, bound + 1),
                           start=1):
         if d:
             return (label, FAIL, "%s has dim %d" % (name % i, d))
@@ -96,7 +98,7 @@ def _vanishing(label, degrees, name, m, n, bound):
 def _dualizing(c, bound):
     """The conditions both dualizing predicates share."""
     return (_iso("homothety-iso", homothety_map(c)),
-            _vanishing("self-ext-vanishing", ext_degrees, "Ext^%d", c, c,
+            _vanishing("self-ext-vanishing", "Ext^%d", c, matlis_dual(c),
                        bound))
 
 
@@ -118,10 +120,10 @@ def is_quasidualizing(t, bound=DEFAULT_BOUND):
 @memoized
 def _derived_reflexive(l, m, bound):
     return (_iso("biduality-iso", biduality_map(l, m)),
-            _vanishing("ext(L,M)-vanishing", ext_degrees, "Ext^%d", l, m,
+            _vanishing("ext(L,M)-vanishing", "Ext^%d", l, matlis_dual(m),
                        bound),
-            _vanishing("ext(Hom(L,M),M)-vanishing", ext_degrees, "Ext^%d",
-                       hom_module(l, m).module, m, bound))
+            _vanishing("ext(Hom(L,M),M)-vanishing", "Ext^%d",
+                       hom_module(l, m).module, matlis_dual(m), bound))
 
 
 def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
@@ -133,10 +135,10 @@ def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
 @memoized
 def _bass(l, lp, bound):
     return (_iso("evaluation-iso", evaluation_map(lp, l)),
-            _vanishing("ext(L',L)-vanishing", ext_degrees, "Ext^%d", lp, l,
+            _vanishing("ext(L',L)-vanishing", "Ext^%d", lp, matlis_dual(l),
                        bound),
-            _vanishing("tor(L',Hom(L',L))-vanishing", tor_degrees,
-                       "Tor_%d", lp, hom_module(lp, l).module, bound))
+            _vanishing("tor(L',Hom(L',L))-vanishing", "Tor_%d", lp,
+                       hom_module(lp, l).module, bound))
 
 
 def in_bass_class(l, lp, bound=DEFAULT_BOUND):
@@ -147,10 +149,9 @@ def in_bass_class(l, lp, bound=DEFAULT_BOUND):
 @memoized
 def _auslander(l, lp, bound):
     return (_iso("gamma-iso", gamma_map(lp, l)),
-            _vanishing("tor(L',L)-vanishing", tor_degrees, "Tor_%d", lp, l,
-                       bound),
-            _vanishing("ext(L',L'(x)L)-vanishing", ext_degrees, "Ext^%d",
-                       lp, tensor_module(lp, l).module, bound))
+            _vanishing("tor(L',L)-vanishing", "Tor_%d", lp, l, bound),
+            _vanishing("ext(L',L'(x)L)-vanishing", "Ext^%d", lp,
+                       matlis_dual(tensor_module(lp, l).module), bound))
 
 
 def in_auslander_class(l, lp, bound=DEFAULT_BOUND):

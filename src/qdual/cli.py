@@ -20,7 +20,8 @@ from .errors import (ParseError, QdualError, RingValidationError,
                      UnknownRing)
 from .fileformat import parse_module, parse_ring, serialize_module
 from .functors import hom_module, injective_hull, matlis_dual, tensor_module
-from .module import (free_module, regular_module, ses_from_submodule, socle)
+from .module import (free_module, memo_scope, regular_module,
+                     ses_from_submodule, socle)
 from .sampling import random_ses, sample_modules
 
 SUITES = ("duality-swap", "theorem-b", "class-equality", "two-of-three",
@@ -120,9 +121,9 @@ def _suite_artinian_collapse(ring, bound, mods):
 
 def run_verify(ring, suites, bound, samples, seed):
     """Returns (report text, exit code).  The whole call runs in a fresh
-    `homology.memo_scope`: each resolution, Hom, tensor and predicate
+    `module.memo_scope`: each resolution, Hom, tensor and predicate
     verdict is computed once per call, and none outlives it."""
-    with homology.memo_scope():
+    with memo_scope():
         mods = sample_modules(ring, samples, seed)
         lines = []
         for suite in suites:

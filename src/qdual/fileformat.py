@@ -101,8 +101,8 @@ def _read_section(text, section, fields, usage, parse_value):
             raise ParseError("content before [%s] header" % section,
                              line=lineno)
         key, value = _split_assignment(line, lineno)
-        if key.startswith(word):
-            parts = key.split()
+        parts = key.split()
+        if parts[:1] == [word]:
             if len(parts) != arity + 1:
                 raise ParseError("expected '%s = ...'" % usage, line=lineno)
             try:

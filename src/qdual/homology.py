@@ -1,5 +1,5 @@
-"""Minimal free resolutions and Ext/Tor dimension tables, with Ext
-through E as their Matlis swap.
+"""Minimal free resolutions and Tor dimension tables; Ext is read as
+Tor of the Matlis dual.
 
 Free modules R^b keep the coordinates of `module.free_module`, and
 `module.free_action` applies e_i to columns of R^b without building
@@ -14,22 +14,27 @@ only the first.
 
 Each module's resolution record comes from `_resolution_start`, which
 `module.memoized` wraps, so it lives in the run-scoped memo
-(`module.memo`, re-exported here) beside Hom, tensor and verdict data.
-Outside a run the memo is one process-level dict, emptied by
-`clear_resolution_cache`; `cli.run_verify` runs inside `memo_scope`,
-which swaps in a fresh dict, so nothing a run computes outlives it.  A
-record is a Betti list, a list of differentials and an augmentation,
-which `_resolution` extends in place, never copying a degree; the
-Ext/Tor loops index it directly.  qdual is single-threaded, so the
-memo takes no lock.  Cached arrays are read-only, because every caller
-shares them.  Ext and Tor come from one loop that yields one degree at
-a time, resolving only as far as asked.
+(`module.memo`) beside Hom, tensor and verdict data.  Outside a run the
+memo is one process-level dict, emptied by `clear_resolution_cache`;
+`cli.run_verify` runs inside `module.memo_scope`, which swaps in a
+fresh dict, so nothing a run computes outlives it.  A record is a Betti
+list, a list of differentials and an augmentation, which `_resolution`
+extends in place, never copying a degree; the Tor loop indexes it
+directly.  qdual is single-threaded, so the memo takes no lock.  Cached
+arrays are read-only, because every caller shares them.
 
-`forces_vanishing` certifies Ext/Tor vanishing in every degree >= 1
-from structure alone, reading b_0 from degree 0 of the memoized
-resolution, so it adds no memo key.  `ext_dims`, `tor_dims` and the
-degree loops use no certificate: they stay the oracle it is tested
-against.
+There is one derived-functor loop, `tor_degrees`, which yields one
+degree of F_* (x) N at a time, resolving M only as far as asked.  Ext
+comes from it through Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim
+Ext^i(M, N) = dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each
+degree is the transpose of the F_* (x) N^v one, so the ranks agree.
+
+`forces_vanishing` certifies Tor_i(M, N) = 0 in every degree >= 1 from
+structure alone: M or N is free.  Read for Ext, with N^v in place of
+N, it says that M is free or N is injective.  It reads b_0 from degree
+0 of the memoized resolution, so it adds no memo key.  `tor_dims`,
+`ext_dims` and the degree loop use no certificate: they stay the
+oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -42,10 +47,8 @@ import numpy as np
 from . import linalg
 from .errors import RingMismatch
 from .functors import matlis_dual
-# memo and memo_scope are re-exported as homology.memo and .memo_scope
 from .module import (Module, ModuleMap, free_action, free_module,
-                     generator_images, memo, memo_scope, memoized,
-                     minimal_generators)
+                     generator_images, memoized, minimal_generators)
 
 
 @dataclass(frozen=True)
@@ -132,17 +135,17 @@ def _homology_dims(pairs):
         before = rank
 
 
-def _induced_ranks(m, n, layout):
-    """Yield (dim C_i, rank of C_i <-> C_{i+1}) for i = 0, 1, 2, ..., where
-    C_* is Hom(F_*, N) or F_* (x) N for F_* resolving M; `layout` is the
-    einsum placing the N^{b_i} blocks.  Degree i extends the cached
+def _induced_ranks(m, n):
+    """Yield (dim C_i, rank of C_{i+1} -> C_i) for i = 0, 1, 2, ..., where
+    C_* = F_* (x) N for F_* resolving M.  Degree i extends the cached
     resolution of M to length i+1 only when it is asked for."""
     ring = m.ring
     p = ring.p
     for i in itertools.count():
         betti, diffs, _ = _resolution(m, i + 1)
         blocks = _generator_ring_blocks(diffs[i], betti[i], betti[i + 1], ring)
-        mat = np.einsum(layout, blocks, n.action) % p
+        # block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
+        mat = np.einsum("cjr,rab->cajb", blocks, n.action) % p
         # einsum output is not C-ordered, so the reshape copies; rebinding
         # frees the 4-D array before the elimination
         shape = mat.shape
@@ -150,43 +153,30 @@ def _induced_ranks(m, n, layout):
         yield betti[i] * n.dim, linalg.rank(mat, p)
 
 
-def forces_vanishing(degrees, m, n):
-    """True when structure alone makes degrees(M, N) vanish in every
-    degree >= 1: M is free, or N is injective (Ext) or free (Tor).  Over
-    a local ring X is free exactly when dim X = b_0 . dim R, and N is
-    injective exactly when N^v is free (N = E^s iff N^v = R^s)."""
-    if degrees is ext_degrees:
-        n = matlis_dual(n)
+def forces_vanishing(m, n):
+    """True when structure alone makes Tor_i(M, N) vanish in every degree
+    >= 1: M or N is free.  Over a local ring X is free exactly when
+    dim X = b_0 . dim R.  For Ext^i(M, N) pass N^v: N is injective
+    exactly when N^v is free (N = E^s iff N^v = R^s)."""
     return any(x.dim == _resolution(x, 0)[0][0] * x.ring.dim for x in (m, n))
-
-
-def ext_degrees(m, n):
-    """dim Ext^i(M, N) for i = 0, 1, 2, ..., one degree at a time, via a
-    minimal free resolution of M."""
-    if m.ring.key != n.ring.key:
-        raise RingMismatch("Ext arguments over different rings")
-    # Hom(F_*, N): block (j, c) of delta_i is sum_r blocks[c, j, r] A_r
-    return _homology_dims(_induced_ranks(m, n, "cjr,rab->jacb"))
 
 
 def tor_degrees(m, n):
     """dim Tor_i(M, N) for i = 0, 1, 2, ..., one degree at a time, via
     F_* (x) N."""
     if m.ring.key != n.ring.key:
-        raise RingMismatch("Tor arguments over different rings")
-    # F_* (x) N: block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
-    return _homology_dims(_induced_ranks(m, n, "cjr,rab->cajb"))
-
-
-def ext_dims(m, n, bound):
-    """dim Ext^i(M, N) for 0 <= i <= bound, via a minimal free
-    resolution of M."""
-    return DimTable(tuple(itertools.islice(ext_degrees(m, n), bound + 1)))
+        raise RingMismatch("Ext/Tor arguments over different rings")
+    return _homology_dims(_induced_ranks(m, n))
 
 
 def tor_dims(m, n, bound):
     """dim Tor_i(M, N) for 0 <= i <= bound, via F_* (x) N."""
     return DimTable(tuple(itertools.islice(tor_degrees(m, n), bound + 1)))
+
+
+def ext_dims(m, n, bound):
+    """dim Ext^i(M, N) for 0 <= i <= bound, read as dim Tor_i(M, N^v)."""
+    return tor_dims(m, matlis_dual(n), bound)
 
 
 def ext_dims_via_injective(m, n, bound):

@@ -90,6 +90,9 @@ def test_criterion_05_ext_tor_duality():
     for m, n in PAIRS:
         ok &= (tor_dims(m, n, 4).dims
                == ext_dims(m, matlis_dual(n), 4).dims)
+        # Ext is computed through Tor; the Hom cochain oracle is not
+        ok &= (tor_dims(m, n, 4).dims
+               == hom_cochain_ext_dims(m, matlis_dual(n), 4))
     report(5, "ext-tor-duality", ok)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qdual import classes, cli, homology
+from qdual import classes, cli, homology, module
 from qdual import (builtin_module, check_artinian_collapse,
                    check_class_equality, check_duality_swap,
                    check_hom_faithful, check_theorem_B, check_two_of_three,
@@ -182,7 +182,7 @@ def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
     k, e = builtin_module(ring, "k"), injective_hull(ring)
     args = (k,) if predicate is is_semidualizing else (k, e)
     calls = _counting(monkeypatch, natural_map)
-    with homology.memo_scope():
+    with module.memo_scope():
         first = predicate(*args, 3)
         # a report cannot be changed, so no change can reach the memo
         for name, value in (("name", "x"), ("bound", 0), ("conditions", ())):
@@ -196,7 +196,7 @@ def test_memo_hit_is_a_fresh_report(predicate, natural_map, monkeypatch):
         assert len(calls) == 1             # the hits computed nothing
         predicate(*args, 2)                # the bound is part of the key
         assert len(calls) == 2
-    with homology.memo_scope():            # a new scope recomputes
+    with module.memo_scope():            # a new scope recomputes
         predicate(*args, 3)
     assert len(calls) == 3
 
@@ -205,7 +205,7 @@ def test_memo_binds_every_call_form_to_one_key(monkeypatch):
     ring = RINGS["r5"]
     k, e = builtin_module(ring, "k"), injective_hull(ring)
     calls = _counting(monkeypatch, "biduality_map")
-    with homology.memo_scope():
+    with module.memo_scope():
         for report in (is_derived_reflexive(k, e),
                        is_derived_reflexive(k, e, classes.DEFAULT_BOUND),
                        is_derived_reflexive(k, m=e),
@@ -224,7 +224,7 @@ def test_memo_binds_every_call_form_to_one_key(monkeypatch):
 def test_memo_keys_modules_by_their_bytes(monkeypatch):
     ring = RINGS["r5"]
     calls = _counting(monkeypatch, "biduality_map")
-    with homology.memo_scope():
+    with module.memo_scope():
         # R^v and E are different objects with the same action bytes
         is_derived_reflexive(builtin_module(ring, "k"),
                              matlis_dual(regular_module(ring)), 4)
@@ -245,12 +245,12 @@ def test_forced_vanishing_ranks_no_degree(monkeypatch):
         return induced_ranks(*args)
 
     monkeypatch.setattr(homology, "_induced_ranks", counted)
-    with homology.memo_scope():
+    with module.memo_scope():
         forced = is_derived_reflexive(k, e, 4).conditions
     assert ranked == []
     # the degree loop alone gives the same conditions
     monkeypatch.setattr(classes, "forces_vanishing", lambda *args: False)
-    with homology.memo_scope():
+    with module.memo_scope():
         assert is_derived_reflexive(k, e, 4).conditions == forced
     assert ranked
 
@@ -259,10 +259,10 @@ def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
     ring = RINGS["r5"]
     x, e = matlis_dual(regular_module(ring)), injective_hull(ring)
     calls = _counting(monkeypatch, "homothety_map")
-    with homology.memo_scope():
+    with module.memo_scope():
         reports = [is_semidualizing(x), is_quasidualizing(x),
                    is_quasidualizing(e)]
-        memo = homology.memo.get()
+        memo = module.memo.get()
     assert len(calls) == 1
     # each report keeps its own name and finiteness note; the shared
     # conditions follow it
@@ -287,23 +287,23 @@ def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):
 def test_no_memo_outlives_run_verify(monkeypatch):
     ring = RINGS["r3"]
     calls = _counting(monkeypatch, "biduality_map")
-    process = homology.memo.get()
+    process = module.memo.get()
     runs = []
     for _ in range(2):
         cli.run_verify(ring, ["theorem-b", "class-equality"], 3, 2, 0)
-        assert homology.memo.get() is process
+        assert module.memo.get() is process
         runs.append(len(calls))
     # the second run recomputes every verdict it memoized in the first
     assert runs[0] > 0 and runs[1] == 2 * runs[0]
 
     def broken(t, m, bound):
-        assert homology.memo.get() is not process
+        assert module.memo.get() is not process
         raise RuntimeError("checker failed")
 
     monkeypatch.setattr(classes, "check_theorem_B", broken)
     with pytest.raises(RuntimeError):
         cli.run_verify(ring, ["theorem-b"], 3, 1, 0)
-    assert homology.memo.get() is process
+    assert module.memo.get() is process
 
 
 def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
@@ -311,7 +311,7 @@ def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
     k = builtin_module(ring, "k")
     clear_resolution_cache()
     minimal_free_resolution(k, 2)          # made outside any run
-    process = homology.memo.get()
+    process = module.memo.get()
     before = list(process)
     cli.run_verify(ring, ["two-of-three", "duality-swap"], 3, 2, 0)
     assert list(process) == before
@@ -330,11 +330,11 @@ def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
 
 def test_every_memo_key_is_its_build_and_argument_bytes(monkeypatch):
     ring = RINGS["r5"]
-    with homology.memo_scope():
+    with module.memo_scope():
         # the run fills this scope's memo instead of a fresh one
-        monkeypatch.setattr(homology, "memo_scope", contextlib.nullcontext)
+        monkeypatch.setattr(cli, "memo_scope", contextlib.nullcontext)
         cli.run_verify(ring, ["theorem-b", "class-equality"], 4, 2, 7)
-        keys = list(homology.memo.get())
+        keys = list(module.memo.get())
     for build, *args in keys:
         # the function that built the value, as memoized wraps it
         wrapper = getattr(sys.modules[build.__module__], build.__name__)
@@ -364,3 +364,79 @@ def test_clear_resolution_cache_also_empties_verdicts(monkeypatch):
     clear_resolution_cache()
     is_semidualizing(k, 2)
     assert len(calls) == 2
+
+
+# (ring, index of L, index of L') into k followed by sample_modules(ring,
+# 3, 5): the conditions of in_bass_class(L, L') and in_auslander_class(L,
+# L') at the default bound, recorded before Ext was read as Tor of the
+# Matlis dual, so that Ext and Tor witnesses alike are pinned
+CLASS_WITNESSES = {
+    ("r3", 0, 0): (
+        (("evaluation-iso", "PASS", "1x1, injective=True, surjective=True"),
+         ("ext(L',L)-vanishing", "FAIL", "Ext^1 has dim 1"),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 1")),
+        (("gamma-iso", "PASS", "1x1, injective=True, surjective=True"),
+         ("tor(L',L)-vanishing", "FAIL", "Tor_1 has dim 1"),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 1"))),
+    ("r3", 3, 0): (
+        (("evaluation-iso", "FAIL", "4x2, injective=True, surjective=False"),
+         ("ext(L',L)-vanishing", "PASS", ""),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 2")),
+        (("gamma-iso", "FAIL", "2x4, injective=False, surjective=True"),
+         ("tor(L',L)-vanishing", "PASS", ""),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 2"))),
+    ("r5", 0, 0): (
+        (("evaluation-iso", "PASS", "1x1, injective=True, surjective=True"),
+         ("ext(L',L)-vanishing", "FAIL", "Ext^1 has dim 2"),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 2")),
+        (("gamma-iso", "PASS", "1x1, injective=True, surjective=True"),
+         ("tor(L',L)-vanishing", "FAIL", "Tor_1 has dim 2"),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 2"))),
+    ("r5", 2, 0): (
+        (("evaluation-iso", "FAIL", "2x1, injective=True, surjective=False"),
+         ("ext(L',L)-vanishing", "FAIL", "Ext^1 has dim 1"),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 2")),
+        (("gamma-iso", "FAIL", "1x2, injective=False, surjective=True"),
+         ("tor(L',L)-vanishing", "FAIL", "Tor_1 has dim 1"),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 2"))),
+    ("r5", 3, 0): (
+        (("evaluation-iso", "FAIL", "6x4, injective=True, surjective=False"),
+         ("ext(L',L)-vanishing", "FAIL", "Ext^1 has dim 6"),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 8")),
+        (("gamma-iso", "FAIL", "2x6, injective=False, surjective=True"),
+         ("tor(L',L)-vanishing", "PASS", ""),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 4"))),
+    ("r5", 3, 2): (
+        (("evaluation-iso", "FAIL", "6x4, injective=True, surjective=False"),
+         ("ext(L',L)-vanishing", "FAIL", "Ext^1 has dim 2"),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 4")),
+        (("gamma-iso", "FAIL", "4x6, injective=False, surjective=True"),
+         ("tor(L',L)-vanishing", "PASS", ""),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 2"))),
+    ("r6", 0, 0): (
+        (("evaluation-iso", "PASS", "1x1, injective=True, surjective=True"),
+         ("ext(L',L)-vanishing", "FAIL", "Ext^1 has dim 2"),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 2")),
+        (("gamma-iso", "PASS", "1x1, injective=True, surjective=True"),
+         ("tor(L',L)-vanishing", "FAIL", "Tor_1 has dim 2"),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 2"))),
+    ("r6", 1, 0): (
+        (("evaluation-iso", "FAIL", "4x1, injective=True, surjective=False"),
+         ("ext(L',L)-vanishing", "PASS", ""),
+         ("tor(L',Hom(L',L))-vanishing", "FAIL", "Tor_1 has dim 2")),
+        (("gamma-iso", "FAIL", "1x4, injective=False, surjective=True"),
+         ("tor(L',L)-vanishing", "PASS", ""),
+         ("ext(L',L'(x)L)-vanishing", "FAIL", "Ext^1 has dim 2"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_WITNESSES))
+def test_bass_and_auslander_witnesses_are_pinned(case):
+    name, i, j = case
+    ring = corpus_ring(name)
+    mods = [builtin_module(ring, "k")] + sample_modules(ring, 3, 5)
+    l, lp = mods[i], mods[j]
+    with module.memo_scope():
+        got = (in_bass_class(l, lp).conditions,
+               in_auslander_class(l, lp).conditions)
+    assert got == CLASS_WITNESSES[case]

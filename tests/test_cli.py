@@ -292,6 +292,69 @@ def test_verify_text_is_byte_identical_seed0(name):
             == VERIFY_DIGESTS_SEED0[name])
 
 
+# the whole `classify` stdout of k in both roles, recorded before Ext
+# was read as Tor of the Matlis dual: the verify digests hold no FAIL
+# line, these pin the failing conditions and their witnesses
+CLASSIFY_K = {
+    ("r3", "semidualizing"): (
+        "CHECK classify/k-as-semidualizing.finitely-generated PASS "
+        "automatic: finite length\n"
+        "CHECK classify/k-as-semidualizing.homothety-iso FAIL 1x2, "
+        "injective=False, surjective=True\n"
+        "CHECK classify/k-as-semidualizing.self-ext-vanishing FAIL "
+        "Ext^1 has dim 1\n"
+        "VERDICT FAIL\n"),
+    ("r3", "quasidualizing"): (
+        "CHECK classify/k-as-quasidualizing.artinian PASS automatic: "
+        "finite length\n"
+        "CHECK classify/k-as-quasidualizing.homothety-iso FAIL 1x2, "
+        "injective=False, surjective=True\n"
+        "CHECK classify/k-as-quasidualizing.self-ext-vanishing FAIL "
+        "Ext^1 has dim 1\n"
+        "VERDICT FAIL\n"),
+    ("r5", "semidualizing"): (
+        "CHECK classify/k-as-semidualizing.finitely-generated PASS "
+        "automatic: finite length\n"
+        "CHECK classify/k-as-semidualizing.homothety-iso FAIL 1x3, "
+        "injective=False, surjective=True\n"
+        "CHECK classify/k-as-semidualizing.self-ext-vanishing FAIL "
+        "Ext^1 has dim 2\n"
+        "VERDICT FAIL\n"),
+    ("r5", "quasidualizing"): (
+        "CHECK classify/k-as-quasidualizing.artinian PASS automatic: "
+        "finite length\n"
+        "CHECK classify/k-as-quasidualizing.homothety-iso FAIL 1x3, "
+        "injective=False, surjective=True\n"
+        "CHECK classify/k-as-quasidualizing.self-ext-vanishing FAIL "
+        "Ext^1 has dim 2\n"
+        "VERDICT FAIL\n"),
+    ("r6", "semidualizing"): (
+        "CHECK classify/k-as-semidualizing.finitely-generated PASS "
+        "automatic: finite length\n"
+        "CHECK classify/k-as-semidualizing.homothety-iso FAIL 1x4, "
+        "injective=False, surjective=True\n"
+        "CHECK classify/k-as-semidualizing.self-ext-vanishing FAIL "
+        "Ext^1 has dim 2\n"
+        "VERDICT FAIL\n"),
+    ("r6", "quasidualizing"): (
+        "CHECK classify/k-as-quasidualizing.artinian PASS automatic: "
+        "finite length\n"
+        "CHECK classify/k-as-quasidualizing.homothety-iso FAIL 1x4, "
+        "injective=False, surjective=True\n"
+        "CHECK classify/k-as-quasidualizing.self-ext-vanishing FAIL "
+        "Ext^1 has dim 2\n"
+        "VERDICT FAIL\n"),
+}
+
+
+@pytest.mark.parametrize("ring,role", sorted(CLASSIFY_K))
+def test_classify_k_fail_witnesses_are_pinned(ring, role):
+    code, out, err = run_cli(["classify", "--ring", "corpus:" + ring,
+                              "--module", "k", "--as", role])
+    assert code == 1 and err == ""
+    assert out == CLASSIFY_K[(ring, role)]
+
+
 # over r5 = F_2[x, y] / (x, y)^2, x acts as E_10 and y as E_21: y x acts
 # as E_20, but xy = 0, so the actions do not commute
 NON_COMMUTING = """[module]
@@ -326,6 +389,17 @@ def test_out_of_range_act_line_is_a_parse_error(tmp_path, line):
     assert code == 2
     assert out == ""
     assert err == "parse error: line %d: act index out of range\n" % lineno
+
+
+def test_misspelled_mul_key_fails_check_ring(tmp_path):
+    # a key only starting with 'mul' is not a multiplication line
+    path = tmp_path / "ring.txt"
+    path.write_text("[ring]\nname = x\np = 2\ndim = 1\nunit = 1\n"
+                    "multiply 0 0 = 1\n", encoding="utf-8")
+    code, out, err = run_cli(["check-ring", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: line 6: unknown field 'multiply 0 0'\n"
 
 
 @pytest.mark.parametrize("dim,message", [

@@ -130,6 +130,24 @@ def test_repeated_or_transposed_mul_line_rejected(tmp_path, capsys, line):
     assert "line %d:" % lineno in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("word", ["mulx", "multiply", "mul0"])
+def test_ring_key_extending_mul_is_an_unknown_field(word):
+    text = RING_TEXT.replace("mul 0 0", word + " 0 0")
+    with pytest.raises(ParseError) as info:
+        parse_ring(text)
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: unknown field '%s 0 0'" % word
+
+
+@pytest.mark.parametrize("word", ["actor", "action", "acts"])
+def test_module_key_extending_act_is_an_unknown_field(word):
+    text = MODULE_TEXT.replace("act 1", word + " 1")
+    with pytest.raises(ParseError) as info:
+        parse_module(text, {"r3": corpus_ring("r3")})
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: unknown field '%s 1'" % word
+
+
 def test_repeated_act_line_rejected():
     ring = corpus_ring("r3")
     text, lineno = _appended(

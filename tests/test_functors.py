@@ -13,7 +13,7 @@ from qdual import (Module, ModuleMap, biduality_map, builtin_module,
                    gamma_map, hom_module, homothety_map, injective_hull,
                    is_isomorphism, matlis_dual, parse_ring, regular_module,
                    sample_modules, tensor_module, zero_module)
-from qdual import cli, functors, homology, linalg
+from qdual import cli, functors, linalg, module
 from qdual.errors import RingMismatch
 
 RINGS = {name: corpus_ring(name) for name in ("r1", "r3", "r5", "r6")}
@@ -328,7 +328,7 @@ def test_memo_builds_each_functor_once_per_scope(monkeypatch):
     ring = RINGS["r5"]
     e, k = injective_hull(ring), builtin_module(ring, "k")
     builds = _hom_builds(monkeypatch)
-    with homology.memo_scope():
+    with module.memo_scope():
         hom = hom_module(e, k)
         assert hom_module(_renamed(e, "E2"), _renamed(k, "k2")) is hom
         assert len(builds) == 1
@@ -339,7 +339,7 @@ def test_memo_builds_each_functor_once_per_scope(monkeypatch):
         hom_module(k, regular_module(ring))
         biduality_map(e, k)                     # Hom(E, k) is cached
         assert len(builds) == 3                 # one more: Hom(Hom(E,k),k)
-    with homology.memo_scope():                 # a new scope rebuilds
+    with module.memo_scope():                 # a new scope rebuilds
         assert hom_module(e, k) is not hom
         assert len(builds) == 4
 
@@ -357,15 +357,15 @@ def test_memo_hit_matches_a_fresh_construction(ring):
     mods = [builtin_module(ring, name) for name in ("R", "E", "k", "0")]
     mods += sample_modules(ring, 4, 7)
     pairs = list(itertools.product(mods, repeat=2))
-    with homology.memo_scope():
+    with module.memo_scope():
         for m, n in pairs:                      # fill the memo
             hom_module(m, n)
             tensor_module(m, n)
         hits = [(hom_module(m, n), tensor_module(m, n)) for m, n in pairs]
     for (m, n), (hom, tens) in zip(pairs, hits):
-        with homology.memo_scope():
+        with module.memo_scope():
             fresh_hom = hom_module(m, n)
-        with homology.memo_scope():
+        with module.memo_scope():
             fresh_tens = tensor_module(m, n)
         assert hom.module.key == fresh_hom.module.key
         assert tens.module.key == fresh_tens.module.key
@@ -380,7 +380,7 @@ def test_memo_keeps_rings_apart():
     # the zero modules over r2 and r3 have the same bytes
     z2, z3 = zero_module(corpus_ring("r2")), zero_module(corpus_ring("r3"))
     assert (z2.dim, z2.action.tobytes()) == (z3.dim, z3.action.tobytes())
-    with homology.memo_scope():
+    with module.memo_scope():
         for build in (hom_module, tensor_module):
             build(z2, z2)
             build(z3, z3)
@@ -393,12 +393,12 @@ def test_clear_resolution_cache_also_empties_functor_data(monkeypatch):
     ring = RINGS["r3"]
     e, k = injective_hull(ring), builtin_module(ring, "k")
     builds = _hom_builds(monkeypatch)
-    with homology.memo_scope():
+    with module.memo_scope():
         hom_module(e, k)
         tensor_module(e, k)
         assert len(builds) == 2
         clear_resolution_cache()
-        assert homology.memo.get() == {}
+        assert module.memo.get() == {}
         hom_module(e, k)
         tensor_module(e, k)
         assert len(builds) == 4

@@ -6,9 +6,11 @@ as an attribute or looked up by `getattr` with a constant name; an
 import alone is not a use) outside the tests and outside unused
 definitions: in the package outside its own definition, in `demos/`
 or in `bench/`.  Being listed in `qdual.__all__` does not count, so an
-export that only the tests call is dead code.  A non-dunder method or property counts as read when
-`x.name` is read somewhere in the package, the tests or `bench/`
-outside its own body.
+export that only the tests call is dead code.  A non-dunder method or
+property counts as read when `x.name` is read somewhere in the package,
+the tests or `bench/` outside its own body.  Every name a package
+module other than `__init__.py` imports is read in that module: no
+module re-exports.
 """
 
 import ast
@@ -95,3 +97,29 @@ def test_every_method_and_property_is_read():
                     unread.append("%s:%s.%s" % (path.name, cls.name,
                                                 node.name))
     assert not unread, "never read as an attribute: %s" % ", ".join(unread)
+
+
+def _imported_names(tree):
+    """The names a module's import statements bind, but __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_imported_name_is_used_where_imported():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {sub.id for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Name)
+                  and isinstance(sub.ctx, ast.Load)}
+        names = sorted(set(_imported_names(tree)) - loaded)
+        if names:
+            unused.append("%s: %s" % (path.stem, ", ".join(names)))
+    assert not unused, "imported but never used: %s" % "; ".join(unused)
