@@ -4,9 +4,9 @@ derived reflexive, Bass, Auslander) and one checker per theorem.
 Unbounded Ext/Tor vanishing is replaced by vanishing in degrees
 1..B; every theorem checker compares both sides of an equivalence at
 the same bound, so the bounded biconditionals are exact.  A report is
-immutable and carries one (label, verdict, witness) triple per
-condition; its verdict is read from them, so a vacuous report is one
-whose conditions say VACUOUS.
+immutable and holds its conditions alone, one (label, verdict, witness)
+triple each; its verdict is read from them.  The CLI names each
+condition's line from its own suite table.
 
 Every vanishing is one of Tor_i(M, N): an Ext^i(M, N) condition is
 checked as Tor_i(M, N^v), which has the same dimension.  A vanishing
@@ -19,8 +19,9 @@ body (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
 returns them as an immutable tuple of (label, verdict, witness) string
 triples and is wrapped by `module.memoized`, so the semidualizing and
 quasidualizing predicates and same-bytes modules under other names
-share one entry.  Names play no part: each predicate puts the tuple in
-a fresh CheckReport of its own.
+share one entry.  Names play no part: each predicate wraps the tuple in
+a fresh CheckReport, so a predicate's report depends only on module
+bytes and the bound.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ DEFAULT_BOUND = 4
 class CheckReport:
     """A tuple of (label, verdict, witness) conditions: VACUOUS if any
     condition is, else FAIL if any condition is, else PASS."""
-    name: str
-    bound: int
     conditions: tuple
 
     @property
@@ -60,10 +59,6 @@ class CheckReport:
     @property
     def passed(self):
         return self.verdict == PASS
-
-    @property
-    def vacuous(self):
-        return self.verdict == VACUOUS
 
 
 def _check(label, ok, witness=""):
@@ -104,7 +99,7 @@ def _dualizing(c, bound):
 
 def is_semidualizing(c, bound=DEFAULT_BOUND):
     """Homothety iso plus Ext^i(C, C) = 0 for 1 <= i <= B."""
-    return CheckReport("semidualizing(%s)" % (c.name or "C"), bound, (
+    return CheckReport((
         ("finitely-generated", PASS, "automatic: finite length"),
         *_dualizing(c, bound)))
 
@@ -112,7 +107,7 @@ def is_semidualizing(c, bound=DEFAULT_BOUND):
 def is_quasidualizing(t, bound=DEFAULT_BOUND):
     """Same conditions; the homothety target ring is its own completion
     since every ring here is artinian."""
-    return CheckReport("quasidualizing(%s)" % (t.name or "T"), bound, (
+    return CheckReport((
         ("artinian", PASS, "automatic: finite length"),
         *_dualizing(t, bound)))
 
@@ -128,8 +123,7 @@ def _derived_reflexive(l, m, bound):
 
 def is_derived_reflexive(l, m, bound=DEFAULT_BOUND):
     """Biduality into Hom(Hom(L,M),M) iso and two Ext vanishings."""
-    return CheckReport("derived-reflexive", bound,
-                       _derived_reflexive(l, m, bound))
+    return CheckReport(_derived_reflexive(l, m, bound))
 
 
 @memoized
@@ -143,7 +137,7 @@ def _bass(l, lp, bound):
 
 def in_bass_class(l, lp, bound=DEFAULT_BOUND):
     """Evaluation iso, Ext^i(L',L) = 0 and Tor_i(L',Hom(L',L)) = 0."""
-    return CheckReport("bass-class", bound, _bass(l, lp, bound))
+    return CheckReport(_bass(l, lp, bound))
 
 
 @memoized
@@ -156,20 +150,19 @@ def _auslander(l, lp, bound):
 
 def in_auslander_class(l, lp, bound=DEFAULT_BOUND):
     """Gamma iso, Tor_i(L',L) = 0 and Ext^i(L',L' (x) L) = 0."""
-    return CheckReport("auslander-class", bound, _auslander(l, lp, bound))
+    return CheckReport(_auslander(l, lp, bound))
 
 
 def check_duality_swap(x, bound=DEFAULT_BOUND):
     """Matlis duality swaps the two dualizing predicates; biduality
     certifies involutivity.  VACUOUS when X is neither."""
-    name = "duality-swap(%s)" % (x.name or "X")
     # the two predicates share one body (the artinian collapse), so X and
     # its dual are each tested once
     if not is_semidualizing(x, bound).passed:
-        return CheckReport(name, bound, (
+        return CheckReport((
             ("hypothesis", VACUOUS, "X is neither semi- nor quasidualizing"),))
     dual = is_quasidualizing(matlis_dual(x), bound).passed
-    return CheckReport(name, bound, (
+    return CheckReport((
         _check("semidualizing->dual-quasidualizing", dual),
         _check("quasidualizing->dual-semidualizing", dual),
         _iso("involutivity-biduality-iso",
@@ -183,9 +176,9 @@ def _require_quasidualizing(t, bound):
             "bound %d" % (t.name or "T", bound))
 
 
-def _biconditionals(name, bound, pairs):
+def _biconditionals(pairs):
     """One condition per (label, lhs, rhs): the two verdicts agree."""
-    return CheckReport(name, bound, tuple(
+    return CheckReport(tuple(
         _check(label, lhs == rhs, "lhs=%s rhs=%s" % (lhs, rhs))
         for label, lhs, rhs in pairs))
 
@@ -196,7 +189,7 @@ def check_theorem_B(t, m, bound=DEFAULT_BOUND):
     _require_quasidualizing(t, bound)
     td = matlis_dual(t)
     md = matlis_dual(m)
-    return _biconditionals("duality-equivalences", bound, [
+    return _biconditionals([
         ("B[Tv](M)<=>G[T](Mv)",
          in_bass_class(m, td, bound).passed,
          is_derived_reflexive(md, t, bound).passed),
@@ -216,7 +209,7 @@ def check_class_equality(t, m, bound=DEFAULT_BOUND):
     """G_{T^v} = A_T and G_T = A_{T^v}, verdictwise on M."""
     _require_quasidualizing(t, bound)
     td = matlis_dual(t)
-    return _biconditionals("class-equality", bound, [
+    return _biconditionals([
         ("G[Tv](M)<=>A[T](M)",
          is_derived_reflexive(m, td, bound).passed,
          in_auslander_class(m, t, bound).passed),
@@ -237,9 +230,9 @@ def check_two_of_three(t, ses, bound=DEFAULT_BOUND):
     passes = [is_derived_reflexive(l, t, bound).passed for l in members]
     memberships = "L1=%s L2=%s L3=%s" % tuple(passes)
     if sum(passes) < 2:
-        return CheckReport("two-of-three", bound, (
+        return CheckReport((
             ("memberships-at-bound", VACUOUS, memberships),))
-    return CheckReport("two-of-three", bound, (
+    return CheckReport((
         ("memberships-at-bound", PASS, memberships),
         *(_check("third-member-L%d-at-bound-%d" % (idx + 1, bound - 1),
                  is_derived_reflexive(l, t, bound - 1).passed)
@@ -256,7 +249,7 @@ def check_hom_faithful(l, t, bound=DEFAULT_BOUND):
     else:
         condition = _check("hom-nonzero", h > 0,
                            "dim L = %d, dim Hom(L,T) = %d" % (l.dim, h))
-    return CheckReport("hom-faithful", bound, (condition,))
+    return CheckReport((condition,))
 
 
 def probe_tensor_faithful(l, t, bound=DEFAULT_BOUND):
@@ -275,7 +268,7 @@ def probe_tensor_faithful(l, t, bound=DEFAULT_BOUND):
     else:
         label, witness = ("finding-tensor-kills-nonzero-module",
                           "dim L = %d, dim T(x)L = 0" % l.dim)
-    return CheckReport("tensor-probe", bound, ((label, PASS, witness),))
+    return CheckReport(((label, PASS, witness),))
 
 
 def check_artinian_collapse(ring, candidates, bound=DEFAULT_BOUND):
@@ -293,5 +286,4 @@ def check_artinian_collapse(ring, candidates, bound=DEFAULT_BOUND):
         conditions.append(_check(
             "verdicts-agree(%s)" % label, semi == quasi,
             "semidualizing=%s quasidualizing=%s" % (semi, quasi)))
-    return CheckReport("artinian-collapse(%s)" % ring.name, bound,
-                       tuple(conditions))
+    return CheckReport(tuple(conditions))

@@ -12,11 +12,12 @@ Basis conventions are fixed once and reused everywhere:
   dim M x dim N matrix, i.e. a map N -> M^v, and the tensor basis is
   dual to the hom basis.
 
-`hom_module` and `tensor_module` are wrapped by `module.memoized`:
-both return name-free modules and read-only arrays, so one value
-serves every caller, and the natural maps and the tensor's own Hom
-reuse it.  `matlis_dual` is not memoized, since its output name
-depends on the input's.
+`hom_module`, `tensor_module` and `matlis_dual` return name-free
+modules.  The first two are wrapped by `module.memoized` and return
+read-only arrays, so one value serves every caller, and the natural
+maps and the tensor's own Hom reuse it.  `matlis_dual` is not memoized:
+it is one transpose per call, and a memoized copy gained less on the
+sweep-small benchmark than the spread between its runs.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ def tensor_module(m, n):
 def matlis_dual(m):
     """Base-field linear dual with transpose action."""
     action = np.stack([m.action[i].T for i in range(m.ring.dim)])
-    name = None if m.name is None else m.name + "^v"
-    return Module(m.ring, m.dim, action, name=name, check=False)
+    return Module(m.ring, m.dim, action, check=False)
 
 
 def injective_hull(ring):

@@ -59,7 +59,6 @@ class FreeResolution:
     matrix of d_{i+1}: R^{betti[i+1]} -> R^{betti[i]}.  augmentation
     maps R^{betti[0]} onto the module.
     """
-    module: Module
     betti: tuple
     diffs: tuple
     augmentation: ModuleMap
@@ -75,8 +74,8 @@ def minimal_free_resolution(module, length):
     """Minimal free resolution prefix of the given length, sliced from
     the module's cached resolution."""
     betti, diffs, augmentation = _resolution(module, length)
-    return FreeResolution(module, tuple(betti[:length + 1]),
-                          tuple(diffs[:length]), augmentation)
+    return FreeResolution(tuple(betti[:length + 1]), tuple(diffs[:length]),
+                          augmentation)
 
 
 def _resolution(module, length):
@@ -180,13 +179,7 @@ def ext_dims(m, n, bound):
 
 
 def ext_dims_via_injective(m, n, bound):
-    """dim Ext^i(M, N) for 0 <= i <= bound, computed from a coresolution
-    of N by copies of E.
-
-    The coresolution is the Matlis dual (F_*)^v of a minimal free
-    resolution F_* of N^v, and Hom(M, F^v) = Hom(F, M^v) naturally (both
-    are the k-dual of M (x) F), so the cochain complex Hom(M, (F_*)^v) is
-    Hom(F_*, M^v) and its cohomology is Ext^i(N^v, M^v): this oracle is
-    the Matlis swap of `ext_dims`, over the same memoized resolution.
-    """
+    """dim Ext^i(M, N) = dim Ext^i(N^v, M^v) for 0 <= i <= bound: the
+    Matlis swap of `ext_dims`, sharing its resolution and Tor loop.
+    It stays public because demo 02 and the benchmark call it."""
     return ext_dims(matlis_dual(n), matlis_dual(m), bound)

@@ -33,11 +33,11 @@ class Ring:
 
     __slots__ = (
         "name", "p", "dim", "unit", "struct", "mult",
-        "radical", "radical_pivots", "residue_degree", "key",
+        "radical", "residue_degree", "key",
     )
 
     def __init__(self, name, p, dim, unit, struct, mult, radical,
-                 radical_pivots, residue_degree):
+                 residue_degree):
         self.name = name
         self.p = p
         self.dim = dim
@@ -45,7 +45,6 @@ class Ring:
         self.struct = struct
         self.mult = mult                 # mult[i] = left multiplication by e_i
         self.radical = radical           # canonical basis of the maximal ideal
-        self.radical_pivots = radical_pivots
         self.residue_degree = residue_degree
         self.key = (p, dim, unit.tobytes(), struct.tobytes())
 
@@ -99,8 +98,7 @@ def validate_ring(name, p, dim, unit, struct):
     # closure check
     radical, radical_pivots = _nilradical(p, dim, frob)
     residue_degree = _check_local(p, dim, frob, radical, radical_pivots)
-    return Ring(name, p, dim, unit, struct, mult, radical, radical_pivots,
-                residue_degree)
+    return Ring(name, p, dim, unit, struct, mult, radical, residue_degree)
 
 
 def _nilradical(p, dim, frob):

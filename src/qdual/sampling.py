@@ -12,6 +12,7 @@ from .module import (closure_generators, free_module, quotient_module,
                      ses_from_submodule)
 
 RETRY_LIMIT = 16
+MAX_DIM = 6
 
 
 def _child_seed(seed, *extra):
@@ -43,18 +44,18 @@ def random_module(ring, max_free_rank, seed):
     return quot
 
 
-def sample_modules(ring, count, seed, max_dim=6):
+def sample_modules(ring, count, seed, max_dim=MAX_DIM):
     """`count` random modules of dimension <= max_dim."""
     rank_cap = max(1, max_dim // ring.dim)
     return [random_module(ring, rank_cap, _child_seed(seed, i))
             for i in range(count)]
 
 
-def random_ses(ring, seed, max_dim=6):
+def random_ses(ring, seed):
     """Random short exact sequence: a random submodule of a random
-    module and the corresponding quotient."""
+    module of dimension <= MAX_DIM and the corresponding quotient."""
     rng = np.random.default_rng(_child_seed(seed, 1))
-    mid = random_module(ring, max(1, max_dim // ring.dim),
+    mid = random_module(ring, max(1, MAX_DIM // ring.dim),
                         _child_seed(seed, 0))
     count = int(rng.integers(0, 3))
     vectors = rng.integers(0, ring.p, size=(mid.dim, count), dtype=np.int64)

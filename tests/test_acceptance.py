@@ -142,7 +142,7 @@ def test_criterion_09_two_of_three():
     for seed in range(30):
         rep = check_two_of_three(reg, random_ses(r5, seed), 4)
         ok &= rep.verdict != "FAIL"
-        non_vacuous += not rep.vacuous
+        non_vacuous += rep.verdict != "VACUOUS"
     # injected split sequences of free modules guarantee coverage
     for a, b in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
         f = free_module(r5, a + b)
@@ -150,10 +150,10 @@ def test_criterion_09_two_of_three():
         first[:a * r5.dim] = np.eye(a * r5.dim, dtype=np.int64)
         rep = check_two_of_three(reg, ses_from_submodule(f, first), 4)
         ok &= rep.verdict == "PASS"
-        non_vacuous += not rep.vacuous
+        non_vacuous += rep.verdict != "VACUOUS"
     rep = check_two_of_three(e, ses_from_submodule(e, socle(e)), 4)
     ok &= rep.verdict != "FAIL"
-    non_vacuous += not rep.vacuous
+    non_vacuous += rep.verdict != "VACUOUS"
     ok &= non_vacuous >= 5
     report(9, "two-of-three", ok)
 
