@@ -6,11 +6,11 @@ Free modules R^b keep the coordinates of `module.free_module`, and
 kron(I_b, mult[i]).  Differentials are stored as field matrices
 between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
-v[c*d:(c+1)*d].  Each resolution degree is four `rref` calls: one
-kernel, one canonical basis of it, and `minimal_generators` on the
-syzygy, which is one canonical basis of its radical and one elimination
-picking the generators.  A zero kernel (always, over a field) takes
-only the first.
+v[c*d:(c+1)*d].  Each resolution degree is three `rref` calls: one
+canonical kernel (`linalg.canon_kernel`), and `minimal_generators` on
+the syzygy, which is one canonical basis of its radical and one
+elimination picking the generators.  A zero kernel takes the same
+three, the last two on empty matrices.
 
 Each module's resolution record comes from `_resolution_start`, which
 `module.memoized` wraps, so it lives in the run-scoped memo
@@ -87,18 +87,13 @@ def _resolution(module, length):
     betti, diffs, augmentation = record
     while len(diffs) < length:
         prev = diffs[-1] if diffs else augmentation.matrix
-        kern = linalg.kernel_basis(prev, p)
-        if kern.shape[1] == 0:
-            dmat = linalg.zeros(betti[-1] * ring.dim, 0)
-        else:
-            basis, pivots = linalg.canon_basis(kern, p)
-            # the syzygy module in K-coordinates; its minimal generators
-            # are unit columns, so they select columns of the basis
-            syzygy = Module(ring, basis.shape[1],
-                            free_action(ring, basis)[:, pivots, :],
-                            check=False)
-            gens = basis[:, minimal_generators(syzygy).argmax(axis=0)]
-            dmat = generator_images(free_action(ring, gens))
+        basis, pivots = linalg.canon_kernel(prev, p)
+        # the syzygy module in K-coordinates; the coordinates of its
+        # minimal generators select columns of the basis
+        syzygy = Module(ring, basis.shape[1],
+                        free_action(ring, basis)[:, pivots, :], check=False)
+        gens = basis[:, minimal_generators(syzygy)]
+        dmat = generator_images(free_action(ring, gens))
         dmat.setflags(write=False)
         betti.append(dmat.shape[1] // ring.dim)
         diffs.append(dmat)
@@ -108,12 +103,11 @@ def _resolution(module, length):
 @memoized
 def _resolution_start(module):
     """A new record: degree 0 only, the augmentation onto `module`."""
-    p = module.ring.p
     gens = minimal_generators(module)
-    augmentation = ModuleMap(free_module(module.ring, gens.shape[1]), module,
-                             generator_images(module.action @ gens % p))
+    augmentation = ModuleMap(free_module(module.ring, len(gens)), module,
+                             generator_images(module.action[:, :, gens]))
     augmentation.matrix.setflags(write=False)
-    return [gens.shape[1]], [], augmentation
+    return [len(gens)], [], augmentation
 
 
 def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):

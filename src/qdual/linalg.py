@@ -8,7 +8,11 @@ checked by `first_mismatch` on two stacks of matrices.
 Every basis derives from `rref`, and the reduced row echelon form of a
 matrix is unique: it depends on the row space alone, not on how the
 elimination reached it.  So `rref` may pick its algorithm by p and every
-caller, basis-producing or rank-only, still gets the same bits.
+caller, basis-producing or rank-only, still gets the same bits.  It
+also lets `canon_kernel` read the canonical basis of a kernel from one
+elimination: with the columns reversed, each kernel column is nonzero
+only at its free row and at pivot rows above it, so the basis flipped
+back is already in reduced echelon form, the one `canon_basis` gives.
 
 - p = 2: each row is packed into one Python int, column 0 the top bit,
   and rows are added one at a time with XOR updates: the bit-packed
@@ -125,11 +129,6 @@ def rank(a, p):
     return rref(a, p)[1]
 
 
-def kernel_basis(a, p):
-    """Columns form a basis of the null space of `a`."""
-    return kernel_with_support(a, p)[0]
-
-
 def kernel_with_support(a, p):
     """Kernel basis plus the free-column indices that support it.
 
@@ -186,6 +185,14 @@ def canon_basis(vectors, p):
     """
     r, rk, pivots = rref(vectors.T, p)
     return r[:rk].T.copy(), pivots
+
+
+def canon_kernel(a, p):
+    """`canon_basis` of the null space of `a`, from one elimination of
+    `a` with its columns reversed: (S, pivots) with S[pivots, :] = I."""
+    n = a.shape[1]
+    k, free = kernel_with_support(a[:, ::-1], p)
+    return k[::-1, ::-1].copy(), [n - 1 - c for c in reversed(free)]
 
 
 def in_span(basis, pivots, vectors, p):

@@ -231,9 +231,7 @@ def _radical_canon(module):
 
 def socle(module):
     """Canonical basis of {m : mM kills m} (whole space if m = 0)."""
-    p = module.ring.p
-    kern = linalg.kernel_basis(_radical_actions(module)[0], p)
-    return linalg.canon_basis(kern, p)[0]
+    return linalg.canon_kernel(_radical_actions(module)[0], module.ring.p)[0]
 
 
 def minimal_generator_count(module):
@@ -244,7 +242,8 @@ def minimal_generator_count(module):
 
 
 def minimal_generators(module):
-    """Deterministic minimal generating set as columns.
+    """Coordinates of a deterministic minimal generating set: each
+    generator is the unit vector at one of them.
 
     Candidates c_1, c_2, ... are the canonical complement of mM; c_j is
     kept when it lies outside S_j = mM + R c_1 + ... + R c_{j-1}, so the
@@ -260,13 +259,13 @@ def minimal_generators(module):
     """
     p = module.ring.p
     basis, pivots = _radical_canon(module)
-    _, sect, comp = linalg.complement(basis, pivots, module.dim, p)
-    # sect[:, j] is the unit vector at comp[j], so e_i c_j = A_i[:, comp[j]]
+    comp = linalg.complement(basis, pivots, module.dim, p)[2]
+    # c_j is the unit vector at comp[j], so e_i c_j = A_i[:, comp[j]]
     w = np.concatenate(
         [basis, generator_images(module.action[:, :, comp])], axis=1)
     profile = linalg.rref(w, p)[2][len(pivots):]
-    return sect[:, sorted({(col - len(pivots)) // module.ring.dim
-                           for col in profile})]
+    return [comp[j] for j in sorted({(col - len(pivots)) // module.ring.dim
+                                     for col in profile})]
 
 
 def generator_images(images):

@@ -108,8 +108,7 @@ def _nilradical(p, dim, frob):
     while pm < dim:
         pm *= p
         m += 1
-    kern = linalg.kernel_basis(linalg.mat_pow(frob, m, p), p)
-    return linalg.canon_basis(kern, p)
+    return linalg.canon_kernel(linalg.mat_pow(frob, m, p), p)
 
 
 def _check_local(p, dim, frob, radical, radical_pivots):
@@ -119,8 +118,7 @@ def _check_local(p, dim, frob, radical, radical_pivots):
     q = proj.shape[0]
     # R -> R/N is a ring map, so Frobenius on R/N is the projected one
     frob_q = proj @ (frob @ sect % p) % p
-    fixed = linalg.kernel_basis((frob_q - linalg.identity(q)) % p, p)
-    factors = fixed.shape[1]
+    factors = q - linalg.rank((frob_q - linalg.identity(q)) % p, p)
     if factors != 1:
         raise NotLocal(
             "semisimple quotient has %d simple factors" % factors,

@@ -306,7 +306,7 @@ def test_functor_data_is_read_only():
 # Hom with exactly one kernel_with_support call and a tensor with one
 # Hom, so counting functors' kernel_with_support calls counts Hom
 # constructions; resolutions reach kernel_with_support through
-# linalg.kernel_basis, so the spy sees only the calls made by functors.
+# linalg.canon_kernel, so the spy sees only the calls made by functors.
 
 def _hom_builds(monkeypatch):
     builds = []

@@ -9,9 +9,9 @@ from oracles import F4X, hom_cochain_ext_dims
 
 from qdual import (builtin_module, clear_resolution_cache, corpus_ring,
                    ext_dims, ext_dims_via_injective, free_module, hom_module,
-                   linalg, matlis_dual, minimal_free_resolution, parse_ring,
-                   regular_module, sample_modules, socle, tor_dims,
-                   zero_module)
+                   linalg, matlis_dual, minimal_free_resolution, module,
+                   parse_ring, regular_module, sample_modules, socle,
+                   tor_dims, zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import RingMismatch
 from qdual.homology import (_generator_ring_blocks, forces_vanishing,
@@ -207,6 +207,29 @@ def test_resolution_length_does_not_depend_on_the_cache():
         1, 2, 4]
     assert minimal_free_resolution(k, 1).betti == (1, 2)
     assert minimal_free_resolution(k, 4).betti == (1, 2, 4, 8, 16)
+
+
+@pytest.mark.parametrize("ring_name, module_name", [
+    ("r5", "k"), ("r5", "R"), ("r1", "k"), ("r2", "k"), ("r6", "E")])
+def test_each_resolution_degree_is_three_eliminations(
+        monkeypatch, ring_name, module_name):
+    # one canonical kernel, then the syzygy's radical and its generators;
+    # a zero kernel costs the same three, on empty matrices
+    m = builtin_module(corpus_ring(ring_name), module_name)
+    calls = []
+    rref = linalg.rref
+
+    def spy(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    with module.memo_scope():
+        minimal_free_resolution(m, 0)
+        for n in range(1, 6):
+            calls.clear()
+            res = minimal_free_resolution(m, n)
+            assert len(calls) == 3, (n, res.betti, calls)
 
 
 def reference_table_dims(m, n, bound, layout):

@@ -79,10 +79,44 @@ def test_rref_is_idempotent(mp):
 @given(matrices())
 def test_rank_nullity(mp):
     a, p = mp
-    k = linalg.kernel_basis(a, p)
+    k = linalg.canon_kernel(a, p)[0]
     assert linalg.rank(a, p) + k.shape[1] == a.shape[1]
     if k.size:
         assert not np.any(a @ k % p)
+
+
+# canon_kernel reads the canonical kernel from one elimination of the
+# column-reversed matrix; the oracle is canon_basis of the kernel,
+# which costs a second elimination.
+
+KERNEL_PRIMES = (2, 3, 65521)
+
+
+def _assert_canon_kernel_is_canon_basis(a, p):
+    basis, pivots = linalg.canon_kernel(a, p)
+    want, want_pivots = linalg.canon_basis(
+        linalg.kernel_with_support(a, p)[0], p)
+    assert basis.dtype == want.dtype and basis.shape == want.shape
+    assert basis.tobytes() == want.tobytes()
+    assert pivots == want_pivots
+    assert np.array_equal(basis[pivots, :], linalg.identity(len(pivots)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_side=7), st.sampled_from(KERNEL_PRIMES))
+def test_canon_kernel_matches_canon_basis_of_kernel(mp, p):
+    _assert_canon_kernel_is_canon_basis(mp[0] % p, p)
+
+
+def test_canon_kernel_on_edge_shapes():
+    for p in KERNEL_PRIMES:
+        for shape in ((0, 0), (0, 4), (4, 0), (3, 5), (5, 3)):
+            _assert_canon_kernel_is_canon_basis(linalg.zeros(*shape), p)
+        for n in (1, 4):
+            # full column rank (a zero kernel) and full row rank
+            _assert_canon_kernel_is_canon_basis(linalg.identity(n), p)
+            _assert_canon_kernel_is_canon_basis(
+                np.triu(np.ones((n, n + 2), dtype=np.int64)), p)
 
 
 # Differential test: the elimination as first written, kept verbatim as

@@ -194,7 +194,7 @@ def _generator_subjects(ring):
         res = minimal_free_resolution(m, 3)
         maps = (res.augmentation.matrix,) + res.diffs[:-1]
         for rank, d in zip(res.betti, maps):
-            kern = linalg.kernel_basis(d, ring.p)
+            kern = linalg.canon_kernel(d, ring.p)[0]
             if kern.shape[1]:
                 mods.append(ses_from_submodule(free_module(ring, rank),
                                                kern).members[0])
@@ -206,7 +206,7 @@ def _generator_subjects(ring):
                          + [parse_ring(F4X)], ids=lambda r: r.name)
 def test_minimal_generators_match_closure_loop(ring):
     for module in _generator_subjects(ring):
-        got = minimal_generators(module)
+        got = linalg.identity(module.dim)[:, minimal_generators(module)]
         want = closure_loop_generators(module)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), module
@@ -233,8 +233,8 @@ def test_generators_over_residue_degree_one_are_the_whole_complement(ring):
     assert ring.residue_degree == 1
     for module in _generator_subjects(ring):
         basis, pivots = linalg.canon_basis(radical_submodule(module), ring.p)
-        _, sect, _ = linalg.complement(basis, pivots, module.dim, ring.p)
-        assert np.array_equal(minimal_generators(module), sect)
+        assert minimal_generators(module) == linalg.complement(
+            basis, pivots, module.dim, ring.p)[2]
 
 
 SPAN_RINGS = [corpus_ring(n) for n in ("r1", "r2", "r3", "r4", "r5", "r6")] \
