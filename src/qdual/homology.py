@@ -12,16 +12,15 @@ the syzygy, which is one canonical basis of its radical and one
 elimination picking the generators.  A zero kernel takes the same
 three, the last two on empty matrices.
 
-Each module's resolution record comes from `_resolution_start`, which
-`module.memoized` wraps, so it lives in the run-scoped memo
-(`module.memo`) beside Hom, tensor and verdict data.  Outside a run the
-memo is one process-level dict, emptied by `clear_resolution_cache`;
-`cli.run_verify` runs inside `module.memo_scope`, which swaps in a
-fresh dict, so nothing a run computes outlives it.  A record is a Betti
-list, a list of differentials and an augmentation, which `_resolution`
-extends in place, never copying a degree; the Tor loop indexes it
-directly.  qdual is single-threaded, so the memo takes no lock.  Cached
-arrays are read-only, because every caller shares them.
+A resolution is one memo entry per degree, never changed after it is
+stored: `_differential(M, i)`, which `module.memoized` wraps, returns
+the read-only matrix of d_i, and d_0 is the augmentation onto M.  It
+lives in the run-scoped memo (`module.memo`) beside Hom, tensor and
+verdict data.  Outside a run the memo is one process-level dict,
+emptied by `clear_resolution_cache`; `cli.run_verify` runs inside
+`module.memo_scope`, which swaps in a fresh dict, so nothing a run
+computes outlives it.  qdual is single-threaded, so the memo takes no
+lock.
 
 There is one derived-functor loop, `tor_degrees`, which yields one
 degree of F_* (x) N at a time, resolving M only as far as asked.  Ext
@@ -31,10 +30,10 @@ degree is the transpose of the F_* (x) N^v one, so the ranks agree.
 
 `forces_vanishing` certifies Tor_i(M, N) = 0 in every degree >= 1 from
 structure alone: M or N is free.  Read for Ext, with N^v in place of
-N, it says that M is free or N is injective.  It reads b_0 from degree
-0 of the memoized resolution, so it adds no memo key.  `tor_dims`,
-`ext_dims` and the degree loop use no certificate: they stay the
-oracle it is tested against.
+N, it says that M is free or N is injective.  It reads b_0 from the
+memoized augmentation, so it adds no memo key.  `tor_dims`, `ext_dims`
+and the degree loop use no certificate: they stay the oracle it is
+tested against.
 """
 
 from __future__ import annotations
@@ -47,21 +46,21 @@ import numpy as np
 from . import linalg
 from .errors import RingMismatch
 from .functors import matlis_dual
-from .module import (Module, ModuleMap, free_action, free_module,
-                     generator_images, memoized, minimal_generators)
+from .module import (Module, free_action, generator_images, memoized,
+                     minimal_generators)
 
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """Prefix of a minimal free resolution.
+    """Prefix of a minimal free resolution: one memo entry per degree,
+    never changed after it is stored.
 
-    betti has length B+1 and diffs length B; diffs[i] is the field
-    matrix of d_{i+1}: R^{betti[i+1]} -> R^{betti[i]}.  augmentation
-    maps R^{betti[0]} onto the module.
+    betti and diffs have length B+1; diffs[0] is the augmentation
+    R^{betti[0]} -> M, and diffs[i] for i >= 1 the field matrix of
+    d_i: R^{betti[i]} -> R^{betti[i-1]}.
     """
     betti: tuple
     diffs: tuple
-    augmentation: ModuleMap
 
 
 @dataclass(frozen=True)
@@ -71,79 +70,62 @@ class DimTable:
 
 
 def minimal_free_resolution(module, length):
-    """Minimal free resolution prefix of the given length, sliced from
-    the module's cached resolution."""
-    betti, diffs, augmentation = _resolution(module, length)
-    return FreeResolution(tuple(betti[:length + 1]), tuple(diffs[:length]),
-                          augmentation)
+    """Minimal free resolution prefix of the given length."""
+    diffs = tuple(_differential(module, i) for i in range(length + 1))
+    return FreeResolution(
+        tuple(d.shape[1] // module.ring.dim for d in diffs), diffs)
 
 
-def _resolution(module, length):
-    """The memoized (betti, diffs, augmentation) of `module`, its lists
-    extended in place until diffs holds at least `length` differentials."""
+@memoized
+def _differential(module, i):
+    """The read-only field matrix of d_i; d_0 is the augmentation onto
+    `module`.  Degree i reads degree i-1 through the memo; every caller
+    asks for degrees in increasing order, so the recursion is never
+    more than one level deep."""
     ring = module.ring
-    p = ring.p
-    record = _resolution_start(module)
-    betti, diffs, augmentation = record
-    while len(diffs) < length:
-        prev = diffs[-1] if diffs else augmentation.matrix
-        basis, pivots = linalg.canon_kernel(prev, p)
+    if i == 0:
+        gens = minimal_generators(module)
+        dmat = generator_images(module.action[:, :, gens])
+    else:
+        basis, pivots = linalg.canon_kernel(_differential(module, i - 1),
+                                            ring.p)
         # the syzygy module in K-coordinates; the coordinates of its
         # minimal generators select columns of the basis
         syzygy = Module(ring, basis.shape[1],
                         free_action(ring, basis)[:, pivots, :], check=False)
         gens = basis[:, minimal_generators(syzygy)]
         dmat = generator_images(free_action(ring, gens))
-        dmat.setflags(write=False)
-        betti.append(dmat.shape[1] // ring.dim)
-        diffs.append(dmat)
-    return record
+    dmat.setflags(write=False)
+    return dmat
 
 
-@memoized
-def _resolution_start(module):
-    """A new record: degree 0 only, the augmentation onto `module`."""
-    gens = minimal_generators(module)
-    augmentation = ModuleMap(free_module(module.ring, len(gens)), module,
-                             generator_images(module.action[:, :, gens]))
-    augmentation.matrix.setflags(write=False)
-    return [len(gens)], [], augmentation
-
-
-def _generator_ring_blocks(diff, prev_rank, cur_rank, ring):
-    """Ring-element blocks of a differential as an array of shape
-    (prev_rank, cur_rank, d): d(gen j) = sum_c blocks[c, j] . gen_c."""
+def _generator_ring_blocks(diff, ring):
+    """Ring-element blocks of a differential R^s -> R^t as an array of
+    shape (t, s, d): d(gen j) = sum_c blocks[c, j] . gen_c."""
     d = ring.dim
-    w = diff.reshape(prev_rank * d, cur_rank, d) @ ring.unit % ring.p
-    return w.reshape(prev_rank, d, cur_rank).transpose(0, 2, 1)
+    rows, cols = diff.shape
+    w = diff.reshape(rows, cols // d, d) @ ring.unit % ring.p
+    return w.reshape(rows // d, d, cols // d).transpose(0, 2, 1)
 
 
-def _homology_dims(pairs):
-    """Yield dim H_i = space_i - rank_{i-1} - rank_i from (space_i,
-    rank_i) pairs, where rank_i is the rank of the map between degrees
-    i and i+1; pairs are consumed only as far as the dims are."""
+def _tor_loop(m, n):
+    """Yield dim Tor_i(M, N) = dim C_i - rank tau_i - rank tau_{i+1} for
+    i = 0, 1, 2, ..., where C_* = F_* (x) N for F_* resolving M and
+    tau_i: C_i -> C_{i-1}.  Degree i reads d_{i+1}, resolving M one
+    degree further only when it is asked for."""
+    p = m.ring.p
     before = 0
-    for space, rank in pairs:
-        yield space - before - rank
-        before = rank
-
-
-def _induced_ranks(m, n):
-    """Yield (dim C_i, rank of C_{i+1} -> C_i) for i = 0, 1, 2, ..., where
-    C_* = F_* (x) N for F_* resolving M.  Degree i extends the cached
-    resolution of M to length i+1 only when it is asked for."""
-    ring = m.ring
-    p = ring.p
-    for i in itertools.count():
-        betti, diffs, _ = _resolution(m, i + 1)
-        blocks = _generator_ring_blocks(diffs[i], betti[i], betti[i + 1], ring)
-        # block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
+    for i in itertools.count(1):
+        blocks = _generator_ring_blocks(_differential(m, i), m.ring)
+        # block (c, j) of tau_i is sum_r blocks[c, j, r] A_r
         mat = np.einsum("cjr,rab->cajb", blocks, n.action) % p
         # einsum output is not C-ordered, so the reshape copies; rebinding
         # frees the 4-D array before the elimination
         shape = mat.shape
         mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
-        yield betti[i] * n.dim, linalg.rank(mat, p)
+        rank = linalg.rank(mat, p)
+        yield mat.shape[0] - before - rank
+        before = rank
 
 
 def forces_vanishing(m, n):
@@ -151,7 +133,7 @@ def forces_vanishing(m, n):
     >= 1: M or N is free.  Over a local ring X is free exactly when
     dim X = b_0 . dim R.  For Ext^i(M, N) pass N^v: N is injective
     exactly when N^v is free (N = E^s iff N^v = R^s)."""
-    return any(x.dim == _resolution(x, 0)[0][0] * x.ring.dim for x in (m, n))
+    return any(x.dim == _differential(x, 0).shape[1] for x in (m, n))
 
 
 def tor_degrees(m, n):
@@ -159,7 +141,7 @@ def tor_degrees(m, n):
     F_* (x) N."""
     if m.ring.key != n.ring.key:
         raise RingMismatch("Ext/Tor arguments over different rings")
-    return _homology_dims(_induced_ranks(m, n))
+    return _tor_loop(m, n)
 
 
 def tor_dims(m, n, bound):

@@ -61,7 +61,7 @@ def hom_cochain_ext_dims(m, n, bound):
     res = minimal_free_resolution(m, bound + 1)
     homs = [hom_module(free_module(ring, b), n) for b in res.betti]
     ranks = [0]
-    for source, target, d in zip(homs, homs[1:], res.diffs):
+    for source, target, d in zip(homs, homs[1:], res.diffs[1:]):
         h = source.module.dim
         # basis column j of Hom(F_i, N) is a dim N x dim F_i matrix phi_j
         phis = source.basis.T.reshape(h, n.dim, d.shape[0])

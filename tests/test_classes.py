@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 
 from qdual import classes, cli, homology, module
@@ -253,13 +254,13 @@ def test_forced_vanishing_ranks_no_degree(monkeypatch):
     r5 = RINGS["r5"]
     k, e = builtin_module(r5, "k"), injective_hull(r5)
     ranked = []
-    induced_ranks = homology._induced_ranks
+    tor_loop = homology._tor_loop
 
     def counted(*args):
         ranked.append(args)
-        return induced_ranks(*args)
+        return tor_loop(*args)
 
-    monkeypatch.setattr(homology, "_induced_ranks", counted)
+    monkeypatch.setattr(homology, "_tor_loop", counted)
     with module.memo_scope():
         forced = is_derived_reflexive(k, e, 4).conditions
     assert ranked == []
@@ -328,8 +329,8 @@ def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
     before = list(process)
     cli.run_verify(ring, ["two-of-three", "duality-swap"], 3, 2, 0)
     assert list(process) == before
-    record = process[(homology._resolution_start.__wrapped__, k.key)]
-    assert len(record[1]) == 2             # k's record was not extended
+    # k was not resolved past degree 2
+    assert (homology._differential.__wrapped__, k.key, 3) not in process
 
     def broken(t, m, bound):
         raise RuntimeError("checker failed")
@@ -341,13 +342,32 @@ def test_run_verify_adds_nothing_to_the_process_memo(monkeypatch):
     assert list(process) == before
 
 
+def _immutable(value):
+    """A read-only ndarray; a tuple of str, int or immutable values; a
+    Module; or a frozen dataclass whose fields are all immutable."""
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, tuple):
+        return all(type(v) in (str, int) or _immutable(v) for v in value)
+    if isinstance(value, module.Module):
+        return not value.action.flags.writeable
+    return (dataclasses.is_dataclass(value)
+            and type(value).__dataclass_params__.frozen
+            and all(_immutable(getattr(value, field.name))
+                    for field in dataclasses.fields(value)))
+
+
 def test_every_memo_key_is_its_build_and_argument_bytes(monkeypatch):
     ring = RINGS["r5"]
     with module.memo_scope():
         # the run fills this scope's memo instead of a fresh one
         monkeypatch.setattr(cli, "memo_scope", contextlib.nullcontext)
         cli.run_verify(ring, ["theorem-b", "class-equality"], 4, 2, 7)
-        keys = list(module.memo.get())
+        facts = module.memo.get()
+        keys = list(facts)
+    # every caller shares the one stored value, so none may change
+    for key, value in facts.items():
+        assert _immutable(value), key[0].__name__
     for build, *args in keys:
         # the function that built the value, as memoized wraps it
         wrapper = getattr(sys.modules[build.__module__], build.__name__)
@@ -359,10 +379,10 @@ def test_every_memo_key_is_its_build_and_argument_bytes(monkeypatch):
                 ring_key, dim, action = arg
                 assert ring_key == ring.key and type(dim) is int
                 assert len(action) == ring.dim * dim * dim * 8
-            else:                              # a bound
+            else:                              # a bound or a degree
                 assert type(arg) is int
     assert {key[0].__name__ for key in keys} == {
-        "hom_module", "tensor_module", "_resolution_start", "_dualizing",
+        "hom_module", "tensor_module", "_differential", "_dualizing",
         "_derived_reflexive", "_bass", "_auslander"}
 
 

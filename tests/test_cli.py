@@ -3,7 +3,10 @@
 import hashlib
 import io
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from oracles import reference_tensor_module
@@ -120,6 +123,24 @@ def test_resolve_betti():
     code, out, _ = run_cli(["resolve", "--ring", "corpus:r5", "-l", "4", "k"])
     assert code == 0
     assert out.strip() == "betti 1 2 4 8 16"
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--ring", "corpus:r5", "-l", "3000", "R"],
+    ["tor", "--ring", "corpus:r5", "-i", "3000", "R", "k"],
+    ["ext", "--ring", "corpus:r6", "-i", "3000", "E", "k"]])
+def test_free_or_injective_subject_runs_3000_degrees(argv):
+    # degree i of a resolution reads degree i-1 through the memo, so a
+    # caller asking for degrees in order recurses one level at a time;
+    # a fresh process starts from an empty memo
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + os.pathsep + path if path else src}
+    run = subprocess.run([sys.executable, "-m", "qdual.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.split()[1:] == ["1"] + ["0"] * 3000
 
 
 def test_classify_pass_and_fail():

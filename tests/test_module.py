@@ -192,7 +192,7 @@ def _generator_subjects(ring):
             _direct_sum(k, samples[-1]), hom_module(inj, samples[0]).module]
     for m in (k, samples[-1]):
         res = minimal_free_resolution(m, 3)
-        maps = (res.augmentation.matrix,) + res.diffs[:-1]
+        maps = res.diffs[:-1]
         for rank, d in zip(res.betti, maps):
             kern = linalg.canon_kernel(d, ring.p)[0]
             if kern.shape[1]:

@@ -30,11 +30,11 @@ REPO = Path(__file__).resolve().parents[1]
 # serialize_ring is the writer half of the ring file format, which the
 # tests use to write ring files; nothing else in the repo writes one
 EXEMPT = {"serialize_ring"}
-# the Tor loop computes a resolution's differentials and augmentation
-# anyway, and the pinned RESOLUTION_DIGESTS and the d o d = 0 test
-# (test_resolution_is_a_complex_and_minimal) read a resolution through
-# these two fields
-EXEMPT_ATTRIBUTES = {"FreeResolution.diffs", "FreeResolution.augmentation"}
+# the Tor loop computes a resolution's differentials anyway, the
+# augmentation among them, and the pinned RESOLUTION_DIGESTS and the
+# d o d = 0 test (test_resolution_is_a_complex_and_minimal) read them
+# through this field
+EXEMPT_ATTRIBUTES = {"FreeResolution.diffs"}
 
 
 def _referenced(node):
