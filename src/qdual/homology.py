@@ -6,11 +6,12 @@ Free modules R^b keep the coordinates of `module.free_module`, and
 kron(I_b, mult[i]).  Differentials are stored as field matrices
 between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
-v[c*d:(c+1)*d].  Each resolution degree is three `rref` calls: one
-canonical kernel (`linalg.canon_kernel`), and `minimal_generators` on
-the syzygy, which is one canonical basis of its radical and one
-elimination picking the generators.  A zero kernel takes the same
-three, the last two on empty matrices.
+v[c*d:(c+1)*d].  Each resolution degree is three `rref` calls and one
+`free_action`: one canonical kernel (`linalg.canon_kernel`), the ring
+acting on its basis, and `minimal_generators` on the syzygy, which is
+one canonical basis of its radical and one elimination picking the
+generators.  A zero kernel takes the same three, the last two on empty
+matrices.
 
 A resolution is one memo entry per degree, never changed after it is
 stored: `_differential(M, i)`, which `module.memoized` wraps, returns
@@ -23,10 +24,13 @@ computes outlives it.  qdual is single-threaded, so the memo takes no
 lock.
 
 There is one derived-functor loop, `tor_degrees`, which yields one
-degree of F_* (x) N at a time, resolving M only as far as asked.  Ext
-comes from it through Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim
-Ext^i(M, N) = dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each
-degree is the transpose of the F_* (x) N^v one, so the ranks agree.
+degree of F_* (x) N at a time, resolving M only as far as asked.  A
+minimal d_i has its entries in m, so tau_i = d_i (x) N is ranked on the
+mN x (N/soc N) block of N's action (`_tor_block`, memoized per N), and
+Tor against k^a ranks nothing.  Ext comes from the loop through
+Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
+dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
+transpose of the F_* (x) N^v one, so the ranks agree.
 
 `forces_vanishing` certifies Tor_i(M, N) = 0 in every degree >= 1 from
 structure alone: M or N is free.  Read for Ext, with N^v in place of
@@ -46,8 +50,8 @@ import numpy as np
 from . import linalg
 from .errors import RingMismatch
 from .functors import matlis_dual
-from .module import (Module, free_action, generator_images, memoized,
-                     minimal_generators)
+from .module import (Module, _radical_canon, _socle_canon, free_action,
+                     generator_images, memoized, minimal_generators)
 
 
 @dataclass(frozen=True)
@@ -89,12 +93,13 @@ def _differential(module, i):
     else:
         basis, pivots = linalg.canon_kernel(_differential(module, i - 1),
                                             ring.p)
-        # the syzygy module in K-coordinates; the coordinates of its
-        # minimal generators select columns of the basis
-        syzygy = Module(ring, basis.shape[1],
-                        free_action(ring, basis)[:, pivots, :], check=False)
-        gens = basis[:, minimal_generators(syzygy)]
-        dmat = generator_images(free_action(ring, gens))
+        # the ring acts on the kernel basis once: the syzygy module in
+        # K-coordinates reads the pivot rows, and d_i the columns at the
+        # coordinates of its minimal generators
+        images = free_action(ring, basis)
+        syzygy = Module(ring, basis.shape[1], images[:, pivots, :],
+                        check=False)
+        dmat = generator_images(images[:, :, minimal_generators(syzygy)])
     dmat.setflags(write=False)
     return dmat
 
@@ -108,23 +113,50 @@ def _generator_ring_blocks(diff, ring):
     return w.reshape(rows // d, d, cols // d).transpose(0, 2, 1)
 
 
+@memoized
+def _tor_block(n):
+    """The read-only action of N on the rows at the pivots of mN's
+    canonical basis and the columns off the pivots of soc N's.
+
+    An element of m maps N into mN, whose vectors are fixed by their
+    coordinates at those pivots, and kills soc N, which the unit
+    vectors off its pivots complement.  So a matrix of such elements
+    has the rank of its restriction to this block."""
+    rows = _radical_canon(n)[1]
+    socle_pivots = set(_socle_canon(n)[1])
+    cols = [c for c in range(n.dim) if c not in socle_pivots]
+    block = n.action[:, rows][:, :, cols]
+    block.setflags(write=False)
+    return block
+
+
 def _tor_loop(m, n):
     """Yield dim Tor_i(M, N) = dim C_i - rank tau_i - rank tau_{i+1} for
     i = 0, 1, 2, ..., where C_* = F_* (x) N for F_* resolving M and
     tau_i: C_i -> C_{i-1}.  Degree i reads d_{i+1}, resolving M one
-    degree further only when it is asked for."""
+    degree further only when it is asked for.
+
+    For i >= 1 the minimal d_i has its entries in m, so tau_i maps into
+    F_{i-1} (x) mN and kills F_i (x) soc N: its rank is that of the
+    mN x (N/soc N) block of each entry (`_tor_block`).  When mN = 0,
+    that is N = k^a, the block is empty and nothing is ranked."""
     p = m.ring.p
+    block = _tor_block(n)
     before = 0
     for i in itertools.count(1):
-        blocks = _generator_ring_blocks(_differential(m, i), m.ring)
-        # block (c, j) of tau_i is sum_r blocks[c, j, r] A_r
-        mat = np.einsum("cjr,rab->cajb", blocks, n.action) % p
-        # einsum output is not C-ordered, so the reshape copies; rebinding
-        # frees the 4-D array before the elimination
-        shape = mat.shape
-        mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
-        rank = linalg.rank(mat, p)
-        yield mat.shape[0] - before - rank
+        diff = _differential(m, i)
+        rank = 0
+        if block.size:
+            blocks = _generator_ring_blocks(diff, m.ring)
+            # block (c, j) of tau_i is sum_r blocks[c, j, r] A_r
+            mat = np.einsum("cjr,rab->cajb", blocks, block) % p
+            # einsum output is not C-ordered, so the reshape copies;
+            # rebinding frees the 4-D array before the elimination
+            shape = mat.shape
+            mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
+            rank = linalg.rank(mat, p)
+        # dim C_{i-1} = b_{i-1} . dim N
+        yield diff.shape[0] // m.ring.dim * n.dim - before - rank
         before = rank
 
 

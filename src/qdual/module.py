@@ -231,7 +231,13 @@ def _radical_canon(module):
 
 def socle(module):
     """Canonical basis of {m : mM kills m} (whole space if m = 0)."""
-    return linalg.canon_kernel(_radical_actions(module)[0], module.ring.p)[0]
+    return _socle_canon(module)[0]
+
+
+def _socle_canon(module):
+    """(canonical basis, pivots) of soc M, the kernel of the radical
+    actions."""
+    return linalg.canon_kernel(_radical_actions(module)[0], module.ring.p)
 
 
 def minimal_generator_count(module):

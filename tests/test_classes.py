@@ -382,8 +382,8 @@ def test_every_memo_key_is_its_build_and_argument_bytes(monkeypatch):
             else:                              # a bound or a degree
                 assert type(arg) is int
     assert {key[0].__name__ for key in keys} == {
-        "hom_module", "tensor_module", "_differential", "_dualizing",
-        "_derived_reflexive", "_bass", "_auslander"}
+        "hom_module", "tensor_module", "_differential", "_tor_block",
+        "_dualizing", "_derived_reflexive", "_bass", "_auslander"}
 
 
 def test_clear_resolution_cache_also_empties_verdicts(monkeypatch):

@@ -5,19 +5,27 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import F4X, hom_cochain_ext_dims
+from oracles import F4X, hom_cochain_ext_dims, ring_text
 
-from qdual import (builtin_module, clear_resolution_cache, corpus_ring,
-                   ext_dims, ext_dims_via_injective, free_module, hom_module,
-                   linalg, matlis_dual, minimal_free_resolution, module,
-                   parse_ring, regular_module, sample_modules, socle,
-                   tor_dims, zero_module)
+from qdual import (Module, builtin_module, clear_resolution_cache,
+                   corpus_ring, ext_dims, ext_dims_via_injective,
+                   free_module, homology, linalg, matlis_dual,
+                   minimal_free_resolution, module, parse_ring,
+                   regular_module, sample_modules, socle, tor_dims,
+                   zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import RingMismatch
-from qdual.homology import (_generator_ring_blocks, forces_vanishing,
-                            tor_degrees)
+from qdual.homology import (_generator_ring_blocks, _tor_block,
+                            forces_vanishing, tor_degrees)
 
 RINGS = {name: corpus_ring(name) for name in ("r3", "r4", "r5", "r6")}
+
+
+def _copies(x, a):
+    """X^a, acting block-diagonally."""
+    n = a * x.dim
+    return Module(x.ring, n, linalg.eye_kron(a, x.action).reshape(
+        x.ring.dim, n, n))
 
 
 def test_resolution_of_k_over_r3_is_periodic():
@@ -221,13 +229,53 @@ def test_each_resolution_degree_is_three_eliminations(
         calls.append(a.shape)
         return rref(a, p)
 
+    # and the ring acts on the kernel basis once
+    actions = []
+    free_action = homology.free_action
+
+    def action_spy(ring, x):
+        actions.append(x.shape)
+        return free_action(ring, x)
+
     monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(homology, "free_action", action_spy)
     with module.memo_scope():
         minimal_free_resolution(m, 0)
         for n in range(1, 6):
             calls.clear()
+            actions.clear()
             res = minimal_free_resolution(m, n)
             assert len(calls) == 3, (n, res.betti, calls)
+            assert len(actions) == 1, (n, res.betti, actions)
+
+
+@pytest.mark.parametrize("ring", [
+    corpus_ring("r5"), parse_ring(ring_text("rsz", 3, 3, {}))],
+    ids=lambda r: r.name)
+def test_tor_against_copies_of_k_ranks_nothing(monkeypatch, ring):
+    # m^2 = 0 and embedding dimension 2; mk = 0, so every tau_i of
+    # F_* (x) k^a is zero and dim Tor_i(M, k^a) = a . beta_i(M)
+    k = builtin_module(ring, "k")
+    targets = [(k, 1), (_copies(k, 2), 2)]
+    mods = [k, builtin_module(ring, "E")] + sample_modules(ring, 2, 3,
+                                                           max_dim=6)
+    calls = []
+    rref = linalg.rref
+
+    def spy(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    with module.memo_scope():
+        bettis = [minimal_free_resolution(m, 7).betti for m in mods]
+        for n, _ in targets:
+            _tor_block(n)       # mN and soc N, once per N
+        monkeypatch.setattr(linalg, "rref", spy)
+        for m, betti in zip(mods, bettis):
+            for n, a in targets:
+                assert tor_dims(m, n, 6).dims == tuple(
+                    a * b for b in betti[:7])
+    assert calls == []
 
 
 def reference_table_dims(m, n, bound, layout):
@@ -263,8 +311,11 @@ def test_ext_matches_the_hom_cochain_oracle(ring):
                          + [parse_ring(F4X)], ids=lambda r: r.name)
 def test_per_degree_loop_matches_whole_tables(ring):
     bound = 4
+    # k (+) k has the empty Tor block; E and 0 are the other extremes of
+    # mN and soc N
+    k = builtin_module(ring, "k")
     mods = sample_modules(ring, 3, 31, max_dim=8) + [
-        builtin_module(ring, "k")]
+        k, _copies(k, 2), builtin_module(ring, "E"), zero_module(ring)]
     for m in mods:
         for n in mods:
             clear_resolution_cache()      # the loop extends from nothing

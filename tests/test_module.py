@@ -14,7 +14,7 @@ from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
                    regular_module, sample_modules, ses_from_submodule,
                    socle, zero_module)
 from qdual import linalg
-from qdual.module import (_as_columns, closure_generators,
+from qdual.module import (_as_columns, closure_generators, free_action,
                           minimal_generators)
 from qdual.errors import (InvalidModuleMap, ModuleValidationError,
                           NotSubmodule)
@@ -437,6 +437,33 @@ def test_quotient_and_ses_match_closure_loop_reference(ring):
         assert np.array_equal(got_sect, sect)
     # every subspace is closed over a field (r1); elsewhere both occur
     assert accepted and (rejected or ring.dim == 1)
+
+
+@st.composite
+def _free_columns(draw):
+    """(ring, x, cols): columns x in R^b over r1..r6 or F4X, b <= 3, and
+    a list of their indices, possibly empty, repeated or unordered."""
+    ring = draw(st.sampled_from(SPAN_RINGS))
+    rows = draw(st.integers(0, 3)) * ring.dim
+    width = draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(0, ring.p - 1),
+                            min_size=rows * width, max_size=rows * width))
+    x = np.array(entries, dtype=np.int64).reshape(rows, width)
+    cols = draw(st.lists(st.integers(0, width - 1), max_size=6)
+                if width else st.just([]))
+    return ring, x, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_free_columns())
+def test_free_action_acts_column_by_column(case):
+    # a resolution degree reads d_i off columns of its one free_action
+    ring, x, cols = case
+    got = free_action(ring, x)[:, :, cols]
+    want = free_action(ring, x[:, cols])
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ring", SPAN_RINGS, ids=lambda r: r.name)
