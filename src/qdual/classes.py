@@ -9,19 +9,19 @@ triple each; its verdict is read from them.  The CLI names each
 condition's line from its own suite table.
 
 Every vanishing is one of Tor_i(M, N): an Ext^i(M, N) condition is
-checked as Tor_i(M, N^v), which has the same dimension.  A vanishing
-that structure forces (`homology.forces_vanishing`: M or N is free)
-passes before any degree is ranked, with the condition the degree loop
-would return.  Any other vanishing is checked one degree at a time
-(`homology.tor_degrees`), so each degree is ranked once and the first
-nonzero degree ends the check.  Each predicate's conditions come from a
-body (`_dualizing`, `_derived_reflexive`, `_bass`, `_auslander`) that
-returns them as an immutable tuple of (label, verdict, witness) string
-triples and is wrapped by `module.memoized`, so the semidualizing and
-quasidualizing predicates and same-bytes modules under other names
-share one entry.  Names play no part: each predicate wraps the tuple in
-a fresh CheckReport, so a predicate's report depends only on module
-bytes and the bound.
+checked as Tor_i(M, N^v), which has the same dimension.  Each
+vanishing is checked one degree at a time (`homology.tor_degrees`), so
+each degree is ranked once and the first nonzero degree ends the check;
+a vanishing that structure forces (M or N is free) is answered by the
+loop's head, which resolves nothing past the augmentations.  Each
+predicate's conditions come from a body (`_dualizing`,
+`_derived_reflexive`, `_bass`, `_auslander`) that returns them as an
+immutable tuple of (label, verdict, witness) string triples and is
+wrapped by `module.memoized`, so the semidualizing and quasidualizing
+predicates and same-bytes modules under other names share one entry.
+Names play no part: each predicate wraps the tuple in a fresh
+CheckReport, so a predicate's report depends only on module bytes and
+the bound.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import NotQuasidualizing
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
                        homothety_map, injective_hull, is_isomorphism,
                        matlis_dual, tensor_module)
-from .homology import forces_vanishing, tor_degrees
+from .homology import tor_degrees
 from .module import memoized, regular_module
 
 PASS = "PASS"
@@ -77,11 +77,8 @@ def _iso(label, f):
 def _vanishing(label, name, m, n, bound):
     """One condition: Tor_i(M, N) = 0 for 1 <= i <= B; `name` formats
     the failing degree, as "Tor_%d", or "Ext^%d" when N is the dual of
-    the Ext target."""
-    # a forced vanishing ranks no degree; otherwise each degree is ranked
-    # once, and the first nonzero one ends the loop
-    if forces_vanishing(m, n):
-        return (label, PASS, "")
+    the Ext target.  Each degree is ranked once, the first nonzero one
+    ends the loop, and a forced pair ranks none (`homology._tor_loop`)."""
     for i, d in enumerate(itertools.islice(tor_degrees(m, n), 1, bound + 1),
                           start=1):
         if d:

@@ -32,12 +32,12 @@ Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
 dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
 transpose of the F_* (x) N^v one, so the ranks agree.
 
-`forces_vanishing` certifies Tor_i(M, N) = 0 in every degree >= 1 from
-structure alone: M or N is free.  Read for Ext, with N^v in place of
-N, it says that M is free or N is injective.  It reads b_0 from the
-memoized augmentation, so it adds no memo key.  `tor_dims`, `ext_dims`
-and the degree loop use no certificate: they stay the oracle it is
-tested against.
+The loop's head answers a pair that structure forces: M or N is free,
+which over a local ring is dim X = b_0 . dim R, read off the memoized
+augmentation.  Then Tor_i(M, N) = 0 for i >= 1, degree 0 is a closed
+form, and nothing past d_0 is resolved.  Read for Ext, with N^v in
+place of N, the rule is that M is free or N is injective (N = E^s
+exactly when N^v = R^s).  Suites, library calls and the CLI share it.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ import numpy as np
 from . import linalg
 from .errors import RingMismatch
 from .functors import matlis_dual
-from .module import (Module, _radical_canon, _socle_canon, free_action,
-                     generator_images, memoized, minimal_generators)
+from .module import (Module, _generator_ring_blocks, _radical_canon,
+                     _socle_canon, free_action, generator_images, memoized,
+                     minimal_generators)
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,6 @@ def _differential(module, i):
     return dmat
 
 
-def _generator_ring_blocks(diff, ring):
-    """Ring-element blocks of a differential R^s -> R^t as an array of
-    shape (t, s, d): d(gen j) = sum_c blocks[c, j] . gen_c."""
-    d = ring.dim
-    rows, cols = diff.shape
-    w = diff.reshape(rows, cols // d, d) @ ring.unit % ring.p
-    return w.reshape(rows // d, d, cols // d).transpose(0, 2, 1)
-
-
 @memoized
 def _tor_block(n):
     """The read-only action of N on the rows at the pivots of mN's
@@ -139,7 +131,13 @@ def _tor_loop(m, n):
     For i >= 1 the minimal d_i has its entries in m, so tau_i maps into
     F_{i-1} (x) mN and kills F_i (x) soc N: its rank is that of the
     mN x (N/soc N) block of each entry (`_tor_block`).  When mN = 0,
-    that is N = k^a, the block is empty and nothing is ranked."""
+    that is N = k^a, the block is empty and nothing is ranked.  When M
+    or N is free, nothing past d_0 is resolved or ranked."""
+    if any(x.dim == _differential(x, 0).shape[1] for x in (m, n)):
+        # M or N is free: M = R^a gives M (x) N = N^a, so in either
+        # case dim Tor_0 = dim M . dim N / dim R
+        yield m.dim * n.dim // m.ring.dim
+        yield from itertools.repeat(0)
     p = m.ring.p
     block = _tor_block(n)
     before = 0
@@ -158,14 +156,6 @@ def _tor_loop(m, n):
         # dim C_{i-1} = b_{i-1} . dim N
         yield diff.shape[0] // m.ring.dim * n.dim - before - rank
         before = rank
-
-
-def forces_vanishing(m, n):
-    """True when structure alone makes Tor_i(M, N) vanish in every degree
-    >= 1: M or N is free.  Over a local ring X is free exactly when
-    dim X = b_0 . dim R.  For Ext^i(M, N) pass N^v: N is injective
-    exactly when N^v is free (N = E^s iff N^v = R^s)."""
-    return any(x.dim == _differential(x, 0).shape[1] for x in (m, n))
 
 
 def tor_degrees(m, n):

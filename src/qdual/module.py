@@ -8,8 +8,9 @@ resolutions) is linear algebra on these matrices.  The zero module
 and for rings over themselves; it, `_quotient` and `ModuleMap` name
 the first failing basis element with `linalg.first_mismatch`.  Every
 quotient and sequence comes from `_quotient`, and only `free_module`,
-`free_action` and `generator_images` know the coordinate layout of a
-free module R^b.
+`free_action`, `generator_images` and its inverse
+`_generator_ring_blocks`, which reads a differential back as ring
+elements, know the coordinate layout of a free module R^b.
 
 The run-scoped memo lives here, beside `Module.key`: the dict held by
 the `memo` context variable, swapped fresh by `memo_scope` and emptied
@@ -279,6 +280,15 @@ def generator_images(images):
     V, from the stack images[i] = e_i V: column j*d + i is e_i V[:, j]."""
     d, n, s = images.shape
     return images.transpose(1, 2, 0).reshape(n, s * d)
+
+
+def _generator_ring_blocks(diff, ring):
+    """Ring-element blocks of a differential R^s -> R^t as an array of
+    shape (t, s, d): d(gen j) = sum_c blocks[c, j] . gen_c."""
+    d = ring.dim
+    rows, cols = diff.shape
+    w = diff.reshape(rows, cols // d, d) @ ring.unit % ring.p
+    return w.reshape(rows // d, d, cols // d).transpose(0, 2, 1)
 
 
 def closure_generators(module, vectors):

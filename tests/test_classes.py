@@ -6,17 +6,18 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import hom_cochain_ext_dims
 
 from qdual import classes, cli, homology, module
 from qdual import (builtin_module, check_artinian_collapse,
                    check_class_equality, check_duality_swap,
                    check_hom_faithful, check_theorem_B, check_two_of_three,
-                   clear_resolution_cache, corpus_ring, in_auslander_class,
-                   in_bass_class, injective_hull, is_derived_reflexive,
-                   is_quasidualizing, is_semidualizing, matlis_dual,
-                   minimal_free_resolution, probe_tensor_faithful,
-                   random_ses, regular_module, sample_modules,
-                   ses_from_submodule, socle, zero_module)
+                   clear_resolution_cache, corpus_ring, hom_module,
+                   in_auslander_class, in_bass_class, injective_hull,
+                   is_derived_reflexive, is_quasidualizing,
+                   is_semidualizing, matlis_dual, minimal_free_resolution,
+                   probe_tensor_faithful, random_ses, regular_module,
+                   sample_modules, ses_from_submodule, socle, zero_module)
 from qdual.errors import NotQuasidualizing
 from qdual.module import memoized
 
@@ -249,26 +250,26 @@ def test_report_depends_only_on_bytes_and_bound(name):
     assert matlis_dual(k).name is None
 
 
-def test_forced_vanishing_ranks_no_degree(monkeypatch):
+def test_forced_vanishing_ranks_no_degree():
     # over r5, E is injective, so both Ext conditions of G_E(k) are forced
     r5 = RINGS["r5"]
     k, e = builtin_module(r5, "k"), injective_hull(r5)
-    ranked = []
-    tor_loop = homology._tor_loop
-
-    def counted(*args):
-        ranked.append(args)
-        return tor_loop(*args)
-
-    monkeypatch.setattr(homology, "_tor_loop", counted)
     with module.memo_scope():
         forced = is_derived_reflexive(k, e, 4).conditions
-    assert ranked == []
-    # the degree loop alone gives the same conditions
-    monkeypatch.setattr(classes, "forces_vanishing", lambda *args: False)
-    with module.memo_scope():
-        assert is_derived_reflexive(k, e, 4).conditions == forced
-    assert ranked
+        memo = module.memo.get()
+    # the Tor loop's head read the augmentations and resolved nothing
+    # further, and no Tor block was built
+    differential = homology._differential.__wrapped__
+    assert any(key[0] is differential for key in memo)
+    assert not [key for key in memo
+                if key[0] is differential and key[2] >= 1]
+    assert homology._tor_block.__wrapped__ not in {key[0] for key in memo}
+    assert forced[1:] == (("ext(L,M)-vanishing", "PASS", ""),
+                          ("ext(Hom(L,M),M)-vanishing", "PASS", ""))
+    # the Hom(F_*, N) cochain oracle, which has no forced path, sees the
+    # same zeros
+    for source in (k, hom_module(k, e).module):
+        assert hom_cochain_ext_dims(source, e, 4)[1:] == (0,) * 4
 
 
 def test_memo_is_shared_by_both_dualizing_predicates(monkeypatch):

@@ -128,11 +128,15 @@ def test_resolve_betti():
 @pytest.mark.parametrize("argv", [
     ["resolve", "--ring", "corpus:r5", "-l", "3000", "R"],
     ["tor", "--ring", "corpus:r5", "-i", "3000", "R", "k"],
-    ["ext", "--ring", "corpus:r6", "-i", "3000", "E", "k"]])
-def test_free_or_injective_subject_runs_3000_degrees(argv):
+    ["ext", "--ring", "corpus:r6", "-i", "3000", "E", "k"],
+    ["tor", "--ring", "corpus:r5", "-i", "3000", "k", "R"],
+    ["ext", "--ring", "corpus:r6", "-i", "3000", "k", "E"]])
+def test_free_or_injective_argument_runs_3000_degrees(argv):
     # degree i of a resolution reads degree i-1 through the memo, so a
-    # caller asking for degrees in order recurses one level at a time;
-    # a fresh process starts from an empty memo
+    # caller asking for degrees in order recurses one level at a time,
+    # and `resolve` walks all 3000; a free or injective argument of
+    # ext/tor resolves nothing past degree 0, whichever side it is on.
+    # A fresh process starts from an empty memo
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ,

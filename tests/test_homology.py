@@ -15,8 +15,8 @@ from qdual import (Module, builtin_module, clear_resolution_cache,
                    zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import RingMismatch
-from qdual.homology import (_generator_ring_blocks, _tor_block,
-                            forces_vanishing, tor_degrees)
+from qdual.homology import _differential, _tor_block, tor_degrees
+from qdual.module import _generator_ring_blocks
 
 RINGS = {name: corpus_ring(name) for name in ("r3", "r4", "r5", "r6")}
 
@@ -269,7 +269,8 @@ def test_tor_against_copies_of_k_ranks_nothing(monkeypatch, ring):
     with module.memo_scope():
         bettis = [minimal_free_resolution(m, 7).betti for m in mods]
         for n, _ in targets:
-            _tor_block(n)       # mN and soc N, once per N
+            _differential(n, 0)     # b_0, which the loop's head reads
+            _tor_block(n)           # mN and soc N, once per N
         monkeypatch.setattr(linalg, "rref", spy)
         for m, betti in zip(mods, bettis):
             for n, a in targets:
@@ -312,10 +313,11 @@ def test_ext_matches_the_hom_cochain_oracle(ring):
 def test_per_degree_loop_matches_whole_tables(ring):
     bound = 4
     # k (+) k has the empty Tor block; E and 0 are the other extremes of
-    # mN and soc N
+    # mN and soc N; R and R^2 take the loop's closed form as M and as N
     k = builtin_module(ring, "k")
     mods = sample_modules(ring, 3, 31, max_dim=8) + [
-        k, _copies(k, 2), builtin_module(ring, "E"), zero_module(ring)]
+        k, _copies(k, 2), builtin_module(ring, "E"), zero_module(ring),
+        regular_module(ring), free_module(ring, 2)]
     for m in mods:
         for n in mods:
             clear_resolution_cache()      # the loop extends from nothing
@@ -351,14 +353,13 @@ def test_per_degree_loop_checks_rings_before_iterating():
 
 
 def _free(x):
-    # Tor of X against itself is forced exactly when X is free
-    return forces_vanishing(x, x)
+    # over a local ring X is free exactly when dim X = b_0 . dim R
+    return x.dim == _differential(x, 0).shape[1]
 
 
 def _injective(x):
-    # Ext from X^v into X, read as Tor_i(X^v, X^v), is forced exactly
-    # when X^v is free, that is, when X is injective
-    return forces_vanishing(matlis_dual(x), matlis_dual(x))
+    # X is injective exactly when X^v is free (X = E^s iff X^v = R^s)
+    return _free(matlis_dual(x))
 
 
 @pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "r5", "r6"])
@@ -370,16 +371,34 @@ def test_forced_vanishing_agrees_with_the_tables(name):
         free_module(ring, 2), matlis_dual(free_module(ring, 2)),
         *sample_modules(ring, 4, 7)]
     fired_beyond_free = 0
-    for (m, n), (dual, dims) in itertools.product(
+    for (m, n), (forced, dims, layout) in itertools.product(
             itertools.product(mods, repeat=2),
-            ((matlis_dual, ext_dims), (lambda x: x, tor_dims))):
-        # Ext^i(M, N) is forced when Tor_i(M, N^v) is
-        if forces_vanishing(m, dual(n)):
-            assert dims(m, n, bound).dims[1:] == (0,) * bound
+            ((_injective, ext_dims, "cjr,rab->jacb"),
+             (_free, tor_dims, "cjr,rab->cajb"))):
+        # Ext^i(M, N) is forced when M is free or N is injective, Tor_i
+        # when M or N is free; the reference table takes no forced path
+        if _free(m) or forced(n):
+            table = dims(m, n, bound).dims
+            assert table == reference_table_dims(m, n, bound, layout)
+            assert table[1:] == (0,) * bound
             fired_beyond_free += not _free(m)
     # over a field every module is free; elsewhere the certificate is
     # more than "M is free"
     assert fired_beyond_free > 0 or name in ("r1", "r2")
+
+
+@pytest.mark.parametrize("name", ["r5", "r6"])
+def test_forced_tables_resolve_nothing_past_degree_0(name):
+    ring = corpus_ring(name)
+    k, r, e = (builtin_module(ring, s) for s in ("k", "R", "E"))
+    # N free, N injective (Ext read as Tor against R), and M free
+    for dims, m, n in ((tor_dims, k, r), (ext_dims, k, e), (tor_dims, r, k)):
+        with module.memo_scope():
+            table = dims(m, n, 6).dims
+            memo = module.memo.get()
+        assert table == (m.dim * n.dim // ring.dim,) + (0,) * 6
+        assert not [key for key in memo if key[0] is
+                    _differential.__wrapped__ and key[2] >= 1]
 
 
 @pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "r5", "r6"])
