@@ -26,7 +26,8 @@ lock.
 There is one derived-functor loop, `tor_degrees`, which yields one
 degree of F_* (x) N at a time, resolving M only as far as asked.  A
 minimal d_i has its entries in m, so tau_i = d_i (x) N is ranked on the
-mN x (N/soc N) block of N's action (`_tor_block`, memoized per N), and
+block of N's action whose rows and columns some radical action of N
+touches, read off `module._radical_actions` with no elimination, and
 Tor against k^a ranks nothing.  Ext comes from the loop through
 Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
 dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
@@ -50,8 +51,8 @@ import numpy as np
 from . import linalg
 from .errors import RingMismatch
 from .functors import matlis_dual
-from .module import (Module, _generator_ring_blocks, _radical_canon,
-                     _socle_canon, free_action, generator_images, memoized,
+from .module import (Module, _generator_ring_blocks, _radical_actions,
+                     free_action, generator_images, memoized,
                      minimal_generators)
 
 
@@ -105,41 +106,28 @@ def _differential(module, i):
     return dmat
 
 
-@memoized
-def _tor_block(n):
-    """The read-only action of N on the rows at the pivots of mN's
-    canonical basis and the columns off the pivots of soc N's.
-
-    An element of m maps N into mN, whose vectors are fixed by their
-    coordinates at those pivots, and kills soc N, which the unit
-    vectors off its pivots complement.  So a matrix of such elements
-    has the rank of its restriction to this block."""
-    rows = _radical_canon(n)[1]
-    socle_pivots = set(_socle_canon(n)[1])
-    cols = [c for c in range(n.dim) if c not in socle_pivots]
-    block = n.action[:, rows][:, :, cols]
-    block.setflags(write=False)
-    return block
-
-
 def _tor_loop(m, n):
     """Yield dim Tor_i(M, N) = dim C_i - rank tau_i - rank tau_{i+1} for
     i = 0, 1, 2, ..., where C_* = F_* (x) N for F_* resolving M and
     tau_i: C_i -> C_{i-1}.  Degree i reads d_{i+1}, resolving M one
     degree further only when it is asked for.
 
-    For i >= 1 the minimal d_i has its entries in m, so tau_i maps into
-    F_{i-1} (x) mN and kills F_i (x) soc N: its rank is that of the
-    mN x (N/soc N) block of each entry (`_tor_block`).  When mN = 0,
-    that is N = k^a, the block is empty and nothing is ranked.  When M
-    or N is free, nothing past d_0 is resolved or ranked."""
+    For i >= 1 the minimal d_i has its entries in m, so each entry of
+    tau_i is zero on the rows where every radical action of N is zero
+    (mN lies in the others) and on the columns where every one is zero
+    (their unit vectors lie in soc N): tau_i has the rank of N's action
+    on the remaining rows and columns, read off the stack with no
+    elimination.  When mN = 0, that is N = k^a, the block is empty and
+    nothing is ranked.  When M or N is free, nothing past d_0 is
+    resolved or ranked."""
     if any(x.dim == _differential(x, 0).shape[1] for x in (m, n)):
         # M or N is free: M = R^a gives M (x) N = N^a, so in either
         # case dim Tor_0 = dim M . dim N / dim R
         yield m.dim * n.dim // m.ring.dim
         yield from itertools.repeat(0)
     p = m.ring.p
-    block = _tor_block(n)
+    acts = _radical_actions(n)
+    block = n.action[:, acts.any(axis=(0, 2))][:, :, acts.any(axis=(0, 1))]
     before = 0
     for i in itertools.count(1):
         diff = _differential(m, i)

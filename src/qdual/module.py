@@ -217,28 +217,28 @@ def radical_submodule(module):
 
 
 def _radical_actions(module):
-    """The actions of the radical basis elements, one (r, n, n) stack
-    read as stacked rows (r*n, n) and as side-by-side columns (n, r*n)."""
-    acts = np.tensordot(module.ring.radical.T, module.action,
+    """The (r, n, n) stack of the actions of the radical basis elements:
+    mM is the span of its columns and soc M the common kernel of its
+    matrices."""
+    return np.tensordot(module.ring.radical.T, module.action,
                         axes=(1, 0)) % module.ring.p
-    r, n, _ = acts.shape
-    return acts.reshape(r * n, n), acts.transpose(1, 0, 2).reshape(n, r * n)
 
 
 def _radical_canon(module):
-    """(canonical basis, pivots) of mM, spanned by the radical actions."""
-    return linalg.canon_basis(_radical_actions(module)[1], module.ring.p)
+    """(canonical basis, pivots) of mM, spanned by the radical actions
+    set side by side."""
+    acts = _radical_actions(module)
+    r, n = acts.shape[:2]
+    return linalg.canon_basis(acts.transpose(1, 0, 2).reshape(n, r * n),
+                              module.ring.p)
 
 
 def socle(module):
-    """Canonical basis of {m : mM kills m} (whole space if m = 0)."""
-    return _socle_canon(module)[0]
-
-
-def _socle_canon(module):
-    """(canonical basis, pivots) of soc M, the kernel of the radical
-    actions."""
-    return linalg.canon_kernel(_radical_actions(module)[0], module.ring.p)
+    """Canonical basis of soc M = {v : mv = 0}, the kernel of the
+    radical actions stacked as rows (the whole space if m = 0)."""
+    acts = _radical_actions(module)
+    r, n = acts.shape[:2]
+    return linalg.canon_kernel(acts.reshape(r * n, n), module.ring.p)[0]
 
 
 def minimal_generator_count(module):

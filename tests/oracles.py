@@ -5,8 +5,10 @@ public functions only, so that a test comparing the two checks more
 than one code path against itself.
 """
 
+import numpy as np
+
 from qdual import (Module, free_module, hom_module, linalg,
-                   minimal_free_resolution, quotient_module)
+                   minimal_free_resolution, quotient_module, validate_ring)
 
 
 def ring_text(name, p, dim, products):
@@ -28,6 +30,28 @@ def ring_text(name, p, dim, products):
 # residue field F_4, so generators are counted over a degree-2 extension.
 F4X = ring_text("f4x", 2, 4, {(1, 1): [1, 1, 0, 0], (1, 2): [0, 0, 0, 1],
                               (1, 3): [0, 0, 1, 1]})
+
+
+def rebased_ring(ring, seed):
+    """The same algebra in a seeded random basis whose first vector is
+    the unit, read back through `validate_ring`.  Every dimension it
+    gives is the ring's, but no matrix need be aligned with m or soc:
+    mN and soc N of its modules are spanned by vectors, not by unit
+    vectors of the module's coordinates."""
+    p, d = ring.p, ring.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, p, size=(d, d), dtype=np.int64)
+        g[:, 0] = ring.unit
+        r, _, pivots = linalg.rref(np.concatenate([g, linalg.identity(d)],
+                                                  axis=1), p)
+        if pivots == list(range(d)):
+            break
+    # g[:, a] g[:, b] in the old basis, then in the new one
+    products = np.einsum("ia,jb,ijk->abk", g, g, ring.struct) % p
+    struct = products @ r[:, d:].T % p
+    return validate_ring("%s@%d" % (ring.name, seed), p, d,
+                         linalg.identity(d)[0], struct)
 
 
 def reference_tensor_module(m, n):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import hom_cochain_ext_dims
 
-from qdual import classes, cli, homology, module
+from qdual import classes, cli, homology, linalg, module
 from qdual import (builtin_module, check_artinian_collapse,
                    check_class_equality, check_duality_swap,
                    check_hom_faithful, check_theorem_B, check_two_of_three,
@@ -250,20 +250,31 @@ def test_report_depends_only_on_bytes_and_bound(name):
     assert matlis_dual(k).name is None
 
 
-def test_forced_vanishing_ranks_no_degree():
+def test_forced_vanishing_ranks_no_degree(monkeypatch):
     # over r5, E is injective, so both Ext conditions of G_E(k) are forced
     r5 = RINGS["r5"]
     k, e = builtin_module(r5, "k"), injective_hull(r5)
+    ranked = []
+    rank = linalg.rank
+
+    def spy(a, p):
+        ranked.append(a.shape)
+        return rank(a, p)
+
+    monkeypatch.setattr(linalg, "rank", spy)
     with module.memo_scope():
         forced = is_derived_reflexive(k, e, 4).conditions
         memo = module.memo.get()
     # the Tor loop's head read the augmentations and resolved nothing
-    # further, and no Tor block was built
+    # further; the one rank is the 1x1 biduality iso's, so the loop
+    # ranked no degree
     differential = homology._differential.__wrapped__
     assert any(key[0] is differential for key in memo)
     assert not [key for key in memo
                 if key[0] is differential and key[2] >= 1]
-    assert homology._tor_block.__wrapped__ not in {key[0] for key in memo}
+    assert ranked == [(1, 1)]
+    assert forced[0] == ("biduality-iso", "PASS",
+                         "1x1, injective=True, surjective=True")
     assert forced[1:] == (("ext(L,M)-vanishing", "PASS", ""),
                           ("ext(Hom(L,M),M)-vanishing", "PASS", ""))
     # the Hom(F_*, N) cochain oracle, which has no forced path, sees the
@@ -383,8 +394,8 @@ def test_every_memo_key_is_its_build_and_argument_bytes(monkeypatch):
             else:                              # a bound or a degree
                 assert type(arg) is int
     assert {key[0].__name__ for key in keys} == {
-        "hom_module", "tensor_module", "_differential", "_tor_block",
-        "_dualizing", "_derived_reflexive", "_bass", "_auslander"}
+        "hom_module", "tensor_module", "_differential", "_dualizing",
+        "_derived_reflexive", "_bass", "_auslander"}
 
 
 def test_clear_resolution_cache_also_empties_verdicts(monkeypatch):

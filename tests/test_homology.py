@@ -5,20 +5,23 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import F4X, hom_cochain_ext_dims, ring_text
+from oracles import F4X, hom_cochain_ext_dims, rebased_ring, ring_text
 
 from qdual import (Module, builtin_module, clear_resolution_cache,
                    corpus_ring, ext_dims, ext_dims_via_injective,
                    free_module, homology, linalg, matlis_dual,
                    minimal_free_resolution, module, parse_ring,
-                   regular_module, sample_modules, socle, tor_dims,
-                   zero_module)
+                   radical_submodule, regular_module, sample_modules,
+                   socle, tor_dims, zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import RingMismatch
-from qdual.homology import _differential, _tor_block, tor_degrees
-from qdual.module import _generator_ring_blocks
+from qdual.homology import _differential, tor_degrees
+from qdual.module import _generator_ring_blocks, _radical_actions
 
 RINGS = {name: corpus_ring(name) for name in ("r3", "r4", "r5", "r6")}
+# r6 and, for odd p, r4 in a seeded random basis, where mN and soc N of
+# most modules are not spanned by unit vectors
+REBASED = [rebased_ring(corpus_ring(name), 4) for name in ("r4", "r6")]
 
 
 def _copies(x, a):
@@ -270,7 +273,6 @@ def test_tor_against_copies_of_k_ranks_nothing(monkeypatch, ring):
         bettis = [minimal_free_resolution(m, 7).betti for m in mods]
         for n, _ in targets:
             _differential(n, 0)     # b_0, which the loop's head reads
-            _tor_block(n)           # mN and soc N, once per N
         monkeypatch.setattr(linalg, "rref", spy)
         for m, betti in zip(mods, bettis):
             for n, a in targets:
@@ -298,7 +300,7 @@ def reference_table_dims(m, n, bound, layout):
 
 @pytest.mark.parametrize("ring", [corpus_ring(n) for n in
                                   ("r1", "r2", "r3", "r4", "r5", "r6")]
-                         + [parse_ring(F4X)], ids=lambda r: r.name)
+                         + [parse_ring(F4X)] + REBASED, ids=lambda r: r.name)
 def test_ext_matches_the_hom_cochain_oracle(ring):
     mods = [builtin_module(ring, name) for name in ("k", "R", "E")]
     mods += sample_modules(ring, 3, 41)
@@ -307,17 +309,23 @@ def test_ext_matches_the_hom_cochain_oracle(ring):
             assert ext_dims(m, n, 3).dims == hom_cochain_ext_dims(m, n, 3)
 
 
-@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
-                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
-                         + [parse_ring(F4X)], ids=lambda r: r.name)
-def test_per_degree_loop_matches_whole_tables(ring):
-    bound = 4
-    # k (+) k has the empty Tor block; E and 0 are the other extremes of
-    # mN and soc N; R and R^2 take the loop's closed form as M and as N
+def _loop_subjects(ring):
+    """Samples, and modules at the extremes of the Tor block: N's action
+    on the rows and columns that some radical action of N touches.
+    k (+) k has the empty block; E and 0 are the other extremes of mN
+    and soc N; R and R^2 take the loop's closed form as M and as N."""
     k = builtin_module(ring, "k")
-    mods = sample_modules(ring, 3, 31, max_dim=8) + [
+    return sample_modules(ring, 3, 31, max_dim=8) + [
         k, _copies(k, 2), builtin_module(ring, "E"), zero_module(ring),
         regular_module(ring), free_module(ring, 2)]
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + [parse_ring(F4X)] + REBASED, ids=lambda r: r.name)
+def test_per_degree_loop_matches_whole_tables(ring):
+    bound = 4
+    mods = _loop_subjects(ring)
     for m in mods:
         for n in mods:
             clear_resolution_cache()      # the loop extends from nothing
@@ -339,6 +347,56 @@ def test_per_degree_loop_matches_whole_tables(ring):
                     ("v", "PASS", "") if first is None else
                     ("v", "FAIL", "%s has dim %d" % (name % first,
                                                      table[first])))
+
+
+@pytest.mark.parametrize("ring", REBASED, ids=lambda r: r.name)
+def test_rebased_subjects_read_a_block_wider_than_mN_by_N_over_soc_N(ring):
+    # the rows some radical action touches span at least mN, and the
+    # columns at least a complement of soc N; over a rebased ring some
+    # subjects take more, so the tables above rank blocks that no
+    # canonical basis of mN or soc N would pick
+    def wider(n):
+        acts = _radical_actions(n)
+        return (acts.any(axis=(0, 2)).sum()
+                > radical_submodule(n).shape[1]
+                or acts.any(axis=(0, 1)).sum() > n.dim - socle(n).shape[1])
+
+    assert any(wider(n) for n in _loop_subjects(ring))
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_tor_tables_eliminate_nothing_on_n(monkeypatch, ring):
+    # with M resolved to the bound and N's augmentation in the memo, a
+    # Tor or Ext table takes no canonical basis or kernel, and ranks
+    # each degree at most once
+    bound = 4
+    mods = [builtin_module(ring, name) for name in ("k", "R", "E")]
+    mods += sample_modules(ring, 3, 23, max_dim=8)
+    calls = []
+
+    def spy(name):
+        original = getattr(linalg, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+
+    with module.memo_scope():
+        for x in mods:
+            minimal_free_resolution(x, bound + 1)
+            _differential(matlis_dual(x), 0)
+        for name in ("canon_basis", "canon_kernel", "rank"):
+            spy(name)
+        for m, n in itertools.product(mods, mods):
+            for table in (tor_dims, ext_dims):
+                calls.clear()
+                table(m, n, bound)
+                assert calls.count("rank") == len(calls) <= bound + 1, (
+                    table.__name__, m, n, calls)
 
 
 def test_per_degree_loop_checks_rings_before_iterating():
