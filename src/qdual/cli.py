@@ -1,7 +1,9 @@
 """Command line surface.
 
-Exit codes: 0 = every check passed (VACUOUS does not fail), 1 = at
-least one FAIL, 2 = usage or parse errors.  Output is deterministic for
+Exit codes: 0 = every check passed (VACUOUS does not fail); 1 = at
+least one FAIL, or a `QdualError`: input that parses but breaks a ring
+or module law, or a parameter module T that fails its quasidualizing
+hypothesis; 2 = usage or parse errors.  Output is deterministic for
 fixed inputs and seed: report lines go to stdout, diagnostics to
 stderr.
 """
@@ -9,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import sys
 from pathlib import Path
 
@@ -23,9 +26,6 @@ from .functors import hom_module, injective_hull, matlis_dual, tensor_module
 from .module import (free_module, memo_scope, regular_module,
                      ses_from_submodule, socle)
 from .sampling import random_ses, sample_modules
-
-SUITES = ("duality-swap", "theorem-b", "class-equality", "two-of-three",
-          "hom-faithful", "tensor-probe", "artinian-collapse")
 
 
 def _read_text(path):
@@ -57,41 +57,21 @@ def _report_lines(suite, check_name, report):
     return lines
 
 
-def _sample_tag(i):
-    return "s%02d" % i
+def _grid(tnames, builtins, label, check):
+    """Cases `check(t, m, bound)` for each T named in `tnames` (None: no
+    T) and each subject: the (tag, name) builtins, then the samples.
+    The table's lambdas look checkers up on `classes` at call time."""
+    def cases(ring, bound, mods, seed):
+        subjects = [(tag, builtin_module(ring, name))
+                    for tag, name in builtins] + mods
+        for tname in tnames:
+            t = None if tname is None else builtin_module(ring, tname)
+            for tag, m in subjects:
+                yield label.format(t=tname, m=tag), check(t, m, bound)
+    return cases
 
 
-# Suites that run one checker over a grid: suite -> (parameter modules T,
-# builtin subjects as (tag, name), line label, checker).  Samples follow
-# the builtin subjects; checkers are looked up on `classes` at call time.
-_GRID_SUITES = {
-    "duality-swap": ((None,), (("R", "R"), ("E", "E"), ("k", "k")), "X={m}",
-                     lambda t, m, b: classes.check_duality_swap(m, b)),
-    "theorem-b": (("R", "E"), (), "T={t}.{m}",
-                  lambda t, m, b: classes.check_theorem_B(t, m, b)),
-    "class-equality": (("R", "E"), (), "T={t}.{m}",
-                       lambda t, m, b: classes.check_class_equality(t, m, b)),
-    "hom-faithful": (("R", "E"), (("zero", "0"), ("k", "k")), "T={t}.L={m}",
-                     lambda t, m, b: classes.check_hom_faithful(m, t, b)),
-    "tensor-probe": (("R", "E"), (("zero", "0"), ("k", "k")), "T={t}.L={m}",
-                     lambda t, m, b: classes.probe_tensor_faithful(m, t, b)),
-}
-
-
-def _grid_suite(suite, ring, bound, mods):
-    tnames, builtins, label, check = _GRID_SUITES[suite]
-    subjects = [(tag, builtin_module(ring, name)) for tag, name in builtins]
-    subjects += [(_sample_tag(i), m) for i, m in enumerate(mods)]
-    lines = []
-    for tname in tnames:
-        t = None if tname is None else builtin_module(ring, tname)
-        for tag, m in subjects:
-            lines += _report_lines(suite, label.format(t=tname, m=tag),
-                                   check(t, m, bound))
-    return lines
-
-
-def _suite_two_of_three(ring, bound, samples, seed):
+def _two_of_three(ring, bound, mods, seed):
     t_reg = regular_module(ring)
     t_inj = injective_hull(ring)
     r2 = free_module(ring, 2)
@@ -102,40 +82,59 @@ def _suite_two_of_three(ring, bound, samples, seed):
         # 0 -> soc(E) -> E -> E/soc -> 0 with T = E
         ("E.socle-of-E", t_inj, ses_from_submodule(t_inj, socle(t_inj))),
     ]
-    cases += [("R." + _sample_tag(i), t_reg, random_ses(ring, (seed, 7, i)))
-              for i in range(samples)]
-    lines = []
+    cases += [("R." + tag, t_reg, random_ses(ring, (seed, 7, i)))
+              for i, (tag, _) in enumerate(mods)]
     for tag, t, ses in cases:
-        lines += _report_lines("two-of-three", "T=" + tag,
-                               classes.check_two_of_three(t, ses, bound))
-    return lines
+        yield "T=" + tag, classes.check_two_of_three(t, ses, bound)
 
 
-def _suite_artinian_collapse(ring, bound, mods):
+def _artinian_collapse(ring, bound, mods, seed):
     candidates = [regular_module(ring), injective_hull(ring),
                   builtin_module(ring, "k")]
-    candidates += mods[:5]
-    report = classes.check_artinian_collapse(ring, candidates, bound)
-    return _report_lines("artinian-collapse", ring.name, report)
+    candidates += [m for _, m in mods[:5]]
+    yield ring.name, classes.check_artinian_collapse(ring, candidates,
+                                                     bound)
+
+
+# suite name -> case function (ring, bound, mods, seed) yielding
+# (check name, CheckReport), in `--suite all` order; mods holds the
+# samples as (tag, module).  The grid suites share the quasidualizing
+# modules T and the builtin subjects L
+_TS = ("R", "E")
+_PROBES = (("zero", "0"), ("k", "k"))
+SUITES = {
+    "duality-swap": _grid((None,), (("R", "R"), ("E", "E"), ("k", "k")),
+                          "X={m}",
+                          lambda t, m, b: classes.check_duality_swap(m, b)),
+    "theorem-b": _grid(_TS, (), "T={t}.{m}",
+                       lambda t, m, b: classes.check_theorem_B(t, m, b)),
+    "class-equality": _grid(
+        _TS, (), "T={t}.{m}",
+        lambda t, m, b: classes.check_class_equality(t, m, b)),
+    "two-of-three": _two_of_three,
+    "hom-faithful": _grid(
+        _TS, _PROBES, "T={t}.L={m}",
+        lambda t, m, b: classes.check_hom_faithful(m, t, b)),
+    "tensor-probe": _grid(
+        _TS, _PROBES, "T={t}.L={m}",
+        lambda t, m, b: classes.probe_tensor_faithful(m, t, b)),
+    "artinian-collapse": _artinian_collapse,
+}
 
 
 def run_verify(ring, suites, bound, samples, seed):
-    """Returns (report text, exit code).  The whole call runs in a fresh
-    `module.memo_scope`: each resolution, Hom, tensor and predicate
-    verdict is computed once per call, and none outlives it."""
+    """Returns (report text, exit code).  The whole call, each suite's
+    cases drained into `lines`, runs in a fresh `module.memo_scope`:
+    each resolution, Hom, tensor and predicate verdict is computed once
+    per call, and none outlives it."""
     with memo_scope():
-        mods = sample_modules(ring, samples, seed)
+        mods = [("s%02d" % i, m)
+                for i, m in enumerate(sample_modules(ring, samples, seed))]
         lines = []
         for suite in suites:
-            if suite == "two-of-three":
-                lines += _suite_two_of_three(ring, bound, samples, seed)
-            elif suite == "artinian-collapse":
-                lines += _suite_artinian_collapse(ring, bound, mods)
-            else:
-                lines += _grid_suite(suite, ring, bound, mods)
-    counts = {"PASS": 0, "FAIL": 0, "VACUOUS": 0}
-    for line in lines:
-        counts[line.split()[2]] += 1
+            for check_name, report in SUITES[suite](ring, bound, mods, seed):
+                lines += _report_lines(suite, check_name, report)
+    counts = collections.Counter(line.split()[2] for line in lines)
     lines.append("SUMMARY pass=%d fail=%d vacuous=%d"
                  % (counts["PASS"], counts["FAIL"], counts["VACUOUS"]))
     return "\n".join(lines) + "\n", (1 if counts["FAIL"] else 0)
@@ -260,7 +259,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run property suites")
     ring_arg(p)
     p.add_argument("--suite", default="all",
-                   choices=("all",) + SUITES)
+                   choices=("all", *SUITES))
     p.add_argument("--bound", type=int, default=classes.DEFAULT_BOUND)
     p.add_argument("--samples", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)

@@ -84,15 +84,14 @@ def minimal_free_resolution(module, length):
 
 @memoized
 def _differential(module, i):
-    """The read-only field matrix of d_i; d_0 is the augmentation onto
-    `module`.  Degree i reads degree i-1 through the memo; every caller
-    asks for degrees in increasing order, so the recursion is never
-    more than one level deep."""
+    """The read-only field matrix of d_i, which sends the free
+    generators onto minimal generators of the syzygy Omega^i, with
+    Omega^0 = M: d_0 is the augmentation onto `module`.  Degree i reads degree i-1 through the
+    memo; every caller asks for degrees in increasing order, so the
+    recursion is never more than one level deep."""
     ring = module.ring
-    if i == 0:
-        gens = minimal_generators(module)
-        dmat = generator_images(module.action[:, :, gens])
-    else:
+    images, syzygy = module.action, module
+    if i > 0:
         basis, pivots = linalg.canon_kernel(_differential(module, i - 1),
                                             ring.p)
         # the ring acts on the kernel basis once: the syzygy module in
@@ -101,7 +100,7 @@ def _differential(module, i):
         images = free_action(ring, basis)
         syzygy = Module(ring, basis.shape[1], images[:, pivots, :],
                         check=False)
-        dmat = generator_images(images[:, :, minimal_generators(syzygy)])
+    dmat = generator_images(images[:, :, minimal_generators(syzygy)])
     dmat.setflags(write=False)
     return dmat
 

@@ -45,7 +45,7 @@ def random_module(ring, max_free_rank, seed):
 
 
 def sample_modules(ring, count, seed, max_dim=MAX_DIM):
-    """`count` random modules of dimension <= max_dim."""
+    """`count` random modules of dimension <= max(max_dim, dim R)."""
     rank_cap = max(1, max_dim // ring.dim)
     return [random_module(ring, rank_cap, _child_seed(seed, i))
             for i in range(count)]
@@ -53,7 +53,7 @@ def sample_modules(ring, count, seed, max_dim=MAX_DIM):
 
 def random_ses(ring, seed):
     """Random short exact sequence: a random submodule of a random
-    module of dimension <= MAX_DIM and the corresponding quotient."""
+    module of dimension <= max(MAX_DIM, dim R) and its quotient."""
     rng = np.random.default_rng(_child_seed(seed, 1))
     mid = random_module(ring, max(1, MAX_DIM // ring.dim),
                         _child_seed(seed, 0))

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from oracles import reference_tensor_module
 
-from qdual import (builtin_module, cli, corpus_ring, serialize_module,
-                   serialize_ring)
+from qdual import (builtin_module, clear_resolution_cache, cli,
+                   corpus_ring, serialize_module, serialize_ring)
 
 
 def run_cli(argv):
@@ -317,6 +317,36 @@ def test_verify_text_is_byte_identical_seed0(name):
             == VERIFY_DIGESTS_SEED0[name])
 
 
+@pytest.mark.parametrize("name", ["r3", "r5"])
+def test_run_verify_concatenates_suites_in_the_order_asked(name):
+    # reordered, with one suite repeated: the text is each suite's CHECK
+    # lines in turn, and SUMMARY sums their counts
+    ring = corpus_ring(name)
+    suites = ["tensor-probe", "two-of-three", "duality-swap",
+              "artinian-collapse", "tensor-probe", "class-equality",
+              "theorem-b", "hom-faithful"]
+    checks, totals = [], [0, 0, 0]
+    for suite in suites:
+        text, _ = cli.run_verify(ring, [suite], 3, 3, 5)
+        lines = text.splitlines()
+        checks += lines[:-1]
+        counts = [int(field.split("=")[1]) for field in lines[-1].split()[1:]]
+        totals = [a + b for a, b in zip(totals, counts)]
+    text, code = cli.run_verify(ring, suites, 3, 3, 5)
+    assert code == 0
+    assert text.splitlines() == checks + [
+        "SUMMARY pass=%d fail=%d vacuous=%d" % tuple(totals)]
+    assert sum(totals) == len(checks)
+
+
+def test_readme_lists_the_suites_in_table_order():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    names = ["`%s`" % suite for suite in cli.SUITES]
+    listed = "%s and %s." % (", ".join(names[:-1]), names[-1])
+    assert listed in " ".join(text.split())
+
+
 # the whole `classify` stdout of k in both roles, recorded before Ext
 # was read as Tor of the Matlis dual: the verify digests hold no FAIL
 # line, these pin the failing conditions and their witnesses
@@ -378,6 +408,42 @@ def test_classify_k_fail_witnesses_are_pinned(ring, role):
                               "--module", "k", "--as", role])
     assert code == 1 and err == ""
     assert out == CLASSIFY_K[(ring, role)]
+
+
+def _command_argvs():
+    """Every command but `verify` and `check-ring` on the builtin
+    modules of r1..r6: hom, tensor, ext and tor on each ordered pair,
+    and dual, resolve and classify (both roles) on each module."""
+    names = ("k", "R", "E", "0")
+    for ring in ("--ring=corpus:" + name for name in sorted(VERIFY_DIGESTS)):
+        for a, b in itertools.product(names, repeat=2):
+            yield ["hom", ring, a, b]
+            yield ["tensor", ring, a, b]
+            yield ["ext", ring, "-i", "4", a, b]
+            yield ["tor", ring, "-i", "4", a, b]
+        for a in names:
+            yield ["dual", ring, a]
+            yield ["resolve", ring, "-l", "5", a]
+            for role in ("semidualizing", "quasidualizing"):
+                yield ["classify", ring, "--module", a, "--as", role]
+
+
+# sha256 over (argv, exit code, stdout) of the 480 `_command_argvs`
+# calls, recorded before the verify suites became one table: a change
+# to any command's output shows here
+COMMANDS_DIGEST = (
+    "dda441b12a30093466fa69bb8c30f94490f5b6de0c8f09f773f40ed2edc411e8")
+
+
+def test_other_commands_stdout_is_pinned():
+    digest = hashlib.sha256()
+    for argv in _command_argvs():
+        clear_resolution_cache()
+        code, out, _ = run_cli(argv)
+        digest.update(("%s\n%d\n%s\0" % (" ".join(argv), code, out))
+                      .encode())
+    clear_resolution_cache()
+    assert digest.hexdigest() == COMMANDS_DIGEST
 
 
 # over r5 = F_2[x, y] / (x, y)^2, x acts as E_10 and y as E_21: y x acts

@@ -96,7 +96,7 @@ def invocations(draw):
                 "--bound", str(draw(small))]
     else:
         argv = [command, "--ring", ring, "--suite",
-                draw(st.sampled_from(("all",) + cli.SUITES)),
+                draw(st.sampled_from(("all", *cli.SUITES))),
                 "--bound", str(draw(small)),
                 "--samples", str(draw(st.integers(-1, 2))),
                 "--seed", str(draw(st.integers(-1, 3)))]
