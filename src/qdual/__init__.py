@@ -15,7 +15,8 @@ from .classes import (CheckReport, DEFAULT_BOUND, check_artinian_collapse,
 from .corpus import builtin_module, corpus_ring
 from .errors import (InvalidModuleMap, ModuleValidationError,
                      NotQuasidualizing, NotSubmodule, ParseError, QdualError,
-                     RingMismatch, RingValidationError, UnknownRing)
+                     ResolutionTooLarge, RingMismatch, RingValidationError,
+                     UnknownRing)
 from .fileformat import (parse_module, parse_ring, serialize_module,
                          serialize_ring)
 from .functors import (biduality_map, evaluation_map, gamma_map, hom_module,
@@ -36,8 +37,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport", "DEFAULT_BOUND", "FreeResolution", "InvalidModuleMap",
     "Module", "ModuleMap", "ModuleValidationError", "NotQuasidualizing",
-    "NotSubmodule", "ParseError", "QdualError", "Ring", "RingMismatch",
-    "RingValidationError", "ShortExactSequence", "UnknownRing",
+    "NotSubmodule", "ParseError", "QdualError", "ResolutionTooLarge",
+    "Ring", "RingMismatch", "RingValidationError", "ShortExactSequence",
+    "UnknownRing",
     "biduality_map", "builtin_module", "check_artinian_collapse",
     "check_class_equality", "check_duality_swap", "check_hom_faithful",
     "check_theorem_B", "check_two_of_three", "clear_resolution_cache",

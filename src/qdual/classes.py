@@ -13,7 +13,10 @@ checked as Tor_i(M, N^v), which has the same dimension.  Each
 vanishing is checked one degree at a time (`homology.tor_degrees`), so
 each degree is ranked once and the first nonzero degree ends the check;
 a vanishing that structure forces (M or N is free) is answered by the
-loop's head, which resolves nothing past the augmentations.  Each
+loop's head, which resolves nothing past the augmentations.  Over an
+m^2 = 0 ring the loop answers every degree past the first syzygy that
+m kills (Omega^1 M, or M when mM = 0) in closed form, exact in every
+degree, with nothing resolved past d_1 of M.  Each
 predicate's conditions come from a body (`_dualizing`,
 `_derived_reflexive`, `_bass`, `_auslander`) that returns them as an
 immutable tuple of (label, verdict, witness) string triples and is

@@ -3,9 +3,10 @@
 Exit codes: 0 = every check passed (VACUOUS does not fail); 1 = at
 least one FAIL, or a `QdualError`: input that parses but breaks a ring
 or module law, or a parameter module T that fails its quasidualizing
-hypothesis; 2 = usage or parse errors.  Output is deterministic for
-fixed inputs and seed: report lines go to stdout, diagnostics to
-stderr.
+hypothesis; 2 = usage or parse errors, or a resolution degree over
+the cell budget `homology.MAX_RESOLUTION_CELLS`.  Output is
+deterministic for fixed inputs and seed: report lines go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import classes, homology
 from .corpus import VALID_NAMES, builtin_module, corpus_ring
-from .errors import (ParseError, QdualError, RingValidationError,
-                     UnknownRing)
+from .errors import (ParseError, QdualError, ResolutionTooLarge,
+                     RingValidationError, UnknownRing)
 from .fileformat import parse_module, parse_ring, serialize_module
 from .functors import hom_module, injective_hull, matlis_dual, tensor_module
 from .module import (free_module, memo_scope, regular_module,
@@ -291,7 +292,7 @@ def main(argv=None):
     except RingValidationError as exc:
         print("invalid ring (%s): %s" % (exc.law, exc), file=sys.stderr)
         return 1
-    except (UnknownRing, OSError) as exc:
+    except (UnknownRing, ResolutionTooLarge, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except QdualError as exc:

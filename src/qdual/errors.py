@@ -64,6 +64,12 @@ class NotQuasidualizing(QdualError):
     quasidualizing hypothesis."""
 
 
+class ResolutionTooLarge(QdualError):
+    """A resolution degree would make the ring act on more cells than
+    `homology.MAX_RESOLUTION_CELLS`; the message names the degree and
+    the shape of the differential it would be built from."""
+
+
 class ParseError(QdualError):
     """Malformed ring or module file."""
 

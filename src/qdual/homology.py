@@ -39,6 +39,18 @@ augmentation.  Then Tor_i(M, N) = 0 for i >= 1, degree 0 is a closed
 form, and nothing past d_0 is resolved.  Read for Ext, with N^v in
 place of N, the rule is that M is free or N is injective (N = E^s
 exactly when N^v = R^s).  Suites, library calls and the CLI share it.
+
+When m^2 = 0 (`Ring.square_zero`) the loop also answers every other
+pair in closed form past the first syzygy that m kills, Omega^j M with
+j <= 1: Tor_{j+t}(M, N) = dim Omega^j M . beta_1(N) . e^{t-1} for
+t >= 1, where e = dim m / r and beta_1(N) = (b_0(N) . dim R - dim N)/r
+(Poincare series 1/(1 - e t); Avramov, "Infinite free resolutions",
+1998).  Nothing past d_1 of M and d_0 of N is resolved, at most tau_1
+is ranked, and each dimension is a Python int, exact at any degree.
+
+A degree that would make the ring act on more than
+`MAX_RESOLUTION_CELLS` cells is refused from the shape of the degree
+before it, with `ResolutionTooLarge`, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -49,11 +61,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import RingMismatch
+from .errors import ResolutionTooLarge, RingMismatch
 from .functors import matlis_dual
 from .module import (Module, _generator_ring_blocks, _radical_actions,
                      free_action, generator_images, memoized,
                      minimal_generators)
+
+# a resolution degree i makes the ring act on a kernel basis of
+# d_{i-1}: at most dim R . cols^2 cells for d_{i-1} with cols columns,
+# the largest array the degree builds.  A degree over this budget is
+# refused from the shape alone, before anything is allocated.
+MAX_RESOLUTION_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -86,14 +104,24 @@ def minimal_free_resolution(module, length):
 def _differential(module, i):
     """The read-only field matrix of d_i, which sends the free
     generators onto minimal generators of the syzygy Omega^i, with
-    Omega^0 = M: d_0 is the augmentation onto `module`.  Degree i reads degree i-1 through the
-    memo; every caller asks for degrees in increasing order, so the
-    recursion is never more than one level deep."""
+    Omega^0 = M: d_0 is the augmentation onto `module`.  Degree i
+    reads degree i-1 through the memo; every caller asks for degrees in
+    increasing order, so the recursion is never more than one level
+    deep.  Raises ResolutionTooLarge, naming the degree and the shape
+    of d_{i-1}, when that shape puts degree i over
+    MAX_RESOLUTION_CELLS."""
     ring = module.ring
     images, syzygy = module.action, module
     if i > 0:
-        basis, pivots = linalg.canon_kernel(_differential(module, i - 1),
-                                            ring.p)
+        prev = _differential(module, i - 1)
+        rows, cols = prev.shape
+        if ring.dim * cols * cols > MAX_RESOLUTION_CELLS:
+            raise ResolutionTooLarge(
+                "resolution degree %d acts on the kernel of the %dx%d "
+                "d_%d: %d cells, over the budget of %d"
+                % (i, rows, cols, i - 1, ring.dim * cols * cols,
+                   MAX_RESOLUTION_CELLS))
+        basis, pivots = linalg.canon_kernel(prev, ring.p)
         # the ring acts on the kernel basis once: the syzygy module in
         # K-coordinates reads the pivot rows, and d_i the columns at the
         # coordinates of its minimal generators
@@ -118,21 +146,45 @@ def _tor_loop(m, n):
     on the remaining rows and columns, read off the stack with no
     elimination.  When mN = 0, that is N = k^a, the block is empty and
     nothing is ranked.  When M or N is free, nothing past d_0 is
-    resolved or ranked."""
-    if any(x.dim == _differential(x, 0).shape[1] for x in (m, n)):
+    resolved or ranked.
+
+    When m^2 = 0 the loop tracks omega = dim Omega^j, with Omega^0 = M
+    and dim Omega^j = b_{j-1} . dim R - dim Omega^{j-1}, and hands off
+    at the first j where m kills Omega^j, that is dim Omega^j =
+    b_j . r for r the residue degree: j = 0 when mM = 0, else j = 1,
+    since a minimal Omega^1 lies in m F_0.  Then Omega^j = k^{omega/r},
+    so with rho = rank tau_j (0 when j = 0) and e = dim m / r,
+    Tor_j = omega . b_0(N) - rho and Tor_{j+t} = omega . beta_t(N) for
+    t >= 1, where beta_t(N) = beta_1(N) . e^{t-1} (Omega^1 N = k^{beta_1}
+    and beta_s(k) = e^s: Avramov, "Infinite free resolutions", 1998).
+    Nothing past d_1(M) and d_0(N) is resolved, at most tau_1 is
+    ranked, and every dimension is a Python int, exact in any degree."""
+    ring = m.ring
+    p, d, r = ring.p, ring.dim, ring.residue_degree
+    # b_{i-1}, the width of d_{i-1} over dim R
+    width = _differential(m, 0).shape[1] // d
+    if m.dim == width * d or n.dim == _differential(n, 0).shape[1]:
         # M or N is free: M = R^a gives M (x) N = N^a, so in either
         # case dim Tor_0 = dim M . dim N / dim R
-        yield m.dim * n.dim // m.ring.dim
+        yield m.dim * n.dim // d
         yield from itertools.repeat(0)
-    p = m.ring.p
     acts = _radical_actions(n)
     block = n.action[:, acts.any(axis=(0, 2))][:, :, acts.any(axis=(0, 1))]
     before = 0
+    omega = m.dim
     for i in itertools.count(1):
+        if ring.square_zero and omega == width * r:
+            # m kills Omega^{i-1} = k^{omega/r}
+            top = _differential(n, 0).shape[1] // d
+            yield omega * top - before
+            term = omega * ((top * d - n.dim) // r)
+            while True:
+                yield term
+                term *= d // r - 1
         diff = _differential(m, i)
         rank = 0
         if block.size:
-            blocks = _generator_ring_blocks(diff, m.ring)
+            blocks = _generator_ring_blocks(diff, ring)
             # block (c, j) of tau_i is sum_r blocks[c, j, r] A_r
             mat = np.einsum("cjr,rab->cajb", blocks, block) % p
             # einsum output is not C-ordered, so the reshape copies;
@@ -141,8 +193,10 @@ def _tor_loop(m, n):
             mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
             rank = linalg.rank(mat, p)
         # dim C_{i-1} = b_{i-1} . dim N
-        yield diff.shape[0] // m.ring.dim * n.dim - before - rank
+        yield width * n.dim - before - rank
         before = rank
+        omega = width * d - omega
+        width = diff.shape[1] // d
 
 
 def tor_degrees(m, n):

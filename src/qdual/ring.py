@@ -3,9 +3,11 @@
 A ring is given by structure constants: struct[i, j] is the coordinate
 column of e_i * e_j in the chosen basis.  Validation checks every ring
 law and computes the nilradical (= the maximal ideal, once locality is
-established) via the Frobenius map, which is linear over a prime field.
-The unit and associativity laws are the module laws of R over itself,
-so `module.law_violation` checks them, as it checks module files.
+established) via the Frobenius map, which is linear over a prime field,
+and records whether m^2 = 0, which lets the Tor loop answer in closed
+form.  The unit and associativity laws are the module laws of R over
+itself, so `module.law_violation` checks them, as it checks module
+files.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ class Ring:
 
     __slots__ = (
         "name", "p", "dim", "unit", "struct", "mult",
-        "radical", "residue_degree", "key",
+        "radical", "residue_degree", "square_zero", "key",
     )
 
     def __init__(self, name, p, dim, unit, struct, mult, radical,
-                 residue_degree):
+                 residue_degree, square_zero):
         self.name = name
         self.p = p
         self.dim = dim
@@ -46,6 +48,7 @@ class Ring:
         self.mult = mult                 # mult[i] = left multiplication by e_i
         self.radical = radical           # canonical basis of the maximal ideal
         self.residue_degree = residue_degree
+        self.square_zero = square_zero   # m^2 = 0; read by the Tor loop
         self.key = (p, dim, unit.tobytes(), struct.tobytes())
 
     def __repr__(self):
@@ -98,7 +101,11 @@ def validate_ring(name, p, dim, unit, struct):
     # closure check
     radical, radical_pivots = _nilradical(p, dim, frob)
     residue_degree = _check_local(p, dim, frob, radical, radical_pivots)
-    return Ring(name, p, dim, unit, struct, mult, radical, residue_degree)
+    # m^2 = 0 exactly when every radical basis vector kills the radical
+    acts = np.tensordot(radical.T, mult, axes=(1, 0)) % p
+    square_zero = not np.any(acts @ radical % p)
+    return Ring(name, p, dim, unit, struct, mult, radical, residue_degree,
+                square_zero)
 
 
 def _nilradical(p, dim, frob):

@@ -26,6 +26,16 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_fresh(argv):
+    """The CLI in a fresh process, which starts from an empty memo."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run([sys.executable, "-m", "qdual.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 def test_check_ring_ok():
     code, out, _ = run_cli(["check-ring", "corpus:r5"])
     assert code == 0
@@ -136,15 +146,20 @@ def test_free_or_injective_argument_runs_3000_degrees(argv):
     # caller asking for degrees in order recurses one level at a time,
     # and `resolve` walks all 3000; a free or injective argument of
     # ext/tor resolves nothing past degree 0, whichever side it is on.
-    # A fresh process starts from an empty memo
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src + os.pathsep + path if path else src}
-    run = subprocess.run([sys.executable, "-m", "qdual.cli", *argv],
-                         env=env, capture_output=True, text=True)
+    run = run_fresh(argv)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.split()[1:] == ["1"] + ["0"] * 3000
+
+
+def test_resolution_over_the_cell_budget_is_refused():
+    # Betti numbers of k over r5 double, so degree 11 would make the
+    # ring act on a 3072-column kernel basis: refused from d_10's shape
+    # before it allocates, on one stderr line and with exit code 2
+    run = run_fresh(["resolve", "--ring", "corpus:r5", "-l", "40", "k"])
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (
+        "error: resolution degree 11 acts on the kernel of the 1536x3072 "
+        "d_10: 28311552 cells, over the budget of 16777216\n")
 
 
 def test_classify_pass_and_fail():

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from oracles import F4X, hom_cochain_ext_dims, rebased_ring, ring_text
 
-from qdual import (Module, builtin_module, clear_resolution_cache,
+from qdual import (Module, builtin_module, clear_resolution_cache, cli,
                    corpus_ring, ext_dims, ext_dims_via_injective,
                    free_module, homology, linalg, matlis_dual,
-                   minimal_free_resolution, module, parse_ring,
-                   radical_submodule, regular_module, sample_modules,
-                   socle, tor_dims, zero_module)
+                   minimal_free_resolution, minimal_generator_count,
+                   module, parse_ring, radical_submodule, regular_module,
+                   sample_modules, socle, tensor_module, tor_dims,
+                   zero_module)
 from qdual.classes import _vanishing
 from qdual.errors import RingMismatch
 from qdual.homology import _differential, tor_degrees
@@ -472,6 +473,93 @@ def test_free_and_injective_in_closed_form(name):
         assert socle(r).shape[1] == 2
     if name not in ("r1", "r2"):
         assert not _free(k) and not _injective(k)
+
+
+# F_p[x_1..x_e]/m^2 in the basis (1, x_1, ..., x_e) and in a seeded one,
+# and F_4[x]/(x^2), whose residue field has degree 2
+_SQUARE_ZERO = [parse_ring(ring_text("sz%d_%d" % (p, e), p, e + 1, {}))
+                for p, e in ((2, 1), (2, 3), (3, 2), (5, 2))]
+SQUARE_ZERO = (_SQUARE_ZERO + [rebased_ring(r, 5) for r in _SQUARE_ZERO]
+               + [parse_ring(F4X)])
+
+
+@pytest.mark.parametrize("ring", SQUARE_ZERO, ids=lambda r: r.name)
+def test_square_zero_tables_match_the_oracles(ring):
+    # the loop answers past the first syzygy in closed form; the
+    # reference resolves and ranks every degree, and the Hom cochain
+    # oracle shares no einsum with either.  Betti numbers grow as e^i,
+    # so e = 3 stops at degree 3 and Ext^1 for the Hom oracle
+    assert ring.square_zero
+    e = ring.dim // ring.residue_degree - 1
+    bound, hom_bound = (3, 1) if e == 3 else (5, 3)
+    mods = [builtin_module(ring, s) for s in ("0", "k", "R", "E")]
+    mods += sample_modules(ring, 3, 9, max_dim=8)
+    with module.memo_scope():
+        for m, n in itertools.product(mods, repeat=2):
+            ext = ext_dims(m, n, bound).dims
+            assert tor_dims(m, n, bound).dims == reference_table_dims(
+                m, n, bound, "cjr,rab->cajb")
+            assert ext == reference_table_dims(m, n, bound, "cjr,rab->jacb")
+            assert ext[:hom_bound + 1] == hom_cochain_ext_dims(m, n,
+                                                               hom_bound)
+
+
+def _square_zero_table(m, n, bound):
+    """Tor_i(M, N) for 0 <= i <= bound over an m^2 = 0 ring, neither
+    module free: m kills Omega^j M for j = 0 (mM = 0) or j = 1, and
+    Tor_{j+t} = dim Omega^j . beta_1(N) . e^{t-1} for t >= 1.  The
+    generator counts and M (x) N are read without a resolution."""
+    ring = m.ring
+    d, r = ring.dim, ring.residue_degree
+    top_m, top_n = (minimal_generator_count(x) for x in (m, n))
+    head = [tensor_module(m, n).module.dim]
+    omega = m.dim
+    if m.dim != top_m * r:
+        # Tor_1 is the kernel of Omega^1 (x) N -> F_0 (x) N, whose image
+        # is the kernel of F_0 (x) N -> M (x) N
+        omega = top_m * d - m.dim
+        head.append(omega * top_n - (top_m * n.dim - head[0]))
+    beta = (top_n * d - n.dim) // r
+    tail = [omega * beta * (d // r - 1) ** t for t in range(bound)]
+    return tuple(head + tail)[:bound + 1]
+
+
+@pytest.mark.parametrize("ring", [corpus_ring("r5"), SQUARE_ZERO[2]],
+                         ids=lambda r: r.name)
+def test_square_zero_tables_resolve_two_degrees_at_depth(
+        monkeypatch, capsys, ring):
+    # degree 40 reads d_0 and d_1 of M (d_0 alone when mM = 0), d_0 of
+    # N and ranks at most tau_1; Ext(k, k) is Tor(k, k^v)
+    r = ring.residue_degree
+    k, e = builtin_module(ring, "k"), builtin_module(ring, "E")
+    s = next(x for x in sample_modules(ring, 6, 9, max_dim=8)
+             if x.dim != minimal_generator_count(x) * ring.dim)
+    ranks = []
+    rank = linalg.rank
+
+    def spy(a, p):
+        ranks.append(a.shape)
+        return rank(a, p)
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    for dims, m, n, target in ((tor_dims, e, k, k), (tor_dims, s, e, e),
+                               (ext_dims, k, k, matlis_dual(k))):
+        with module.memo_scope():
+            ranks.clear()
+            table = dims(m, n, 40).dims
+            assert len(ranks) <= 1
+            degrees = {(key[1], key[2]) for key in module.memo.get()
+                       if key[0] is _differential.__wrapped__}
+            assert table == _square_zero_table(m, target, 40)
+        want = {(m.key, 0), (m.key, 1), (target.key, 0)}
+        if m.dim == minimal_generator_count(m) * r:
+            want.remove((m.key, 1))
+        assert degrees == want
+    with module.memo_scope():
+        code = cli.main(["ext", "--ring", "corpus:r5", "-i", "40", "k", "k"])
+    assert (code, capsys.readouterr().out) == (0, "dims %s\n" % " ".join(
+        str(2 ** i) for i in range(41)))
+
 
 # sha256 over the betti numbers, the augmentation matrix and every
 # differential of minimal_free_resolution(m, 5) for k, R, E and eight

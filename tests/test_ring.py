@@ -1,7 +1,11 @@
 """Ring validation: corpus structure, law violations, locality."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from oracles import F4X
 
 from qdual import corpus_ring, parse_ring, validate_ring
 from qdual.errors import (NotAssociative, NotCommutative, NotLocal,
@@ -153,3 +157,29 @@ def test_residue_extension_at_large_prime():
                                   (1, 3): [0, 0, n, 0]}))
     assert r.residue_degree == 2
     assert r.radical.shape[1] == 2
+
+
+def _resolve_deep_rings():
+    """The benchmark's resolve-deep rings, F_2 and F_3 [x, y]/(x, y)^2, in
+    the basis (1, x, y) and in two seeded bases."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_ring(workloads.rsz_ring_text(name, p, 2, seed))
+            for name, p in (("r5", 2), ("f3xy", 3))
+            for seed in (None, 3, (7, name))]
+
+
+def test_square_zero_flag():
+    # m^2 = 0 on the fields, the dual numbers, r5, F_4[x]/(x^2) and the
+    # resolve-deep rings in any basis; not on F_3[x]/(x^3) or r6
+    flags = {name: corpus_ring(name).square_zero
+             for name in ("r1", "r2", "r3", "r4", "r5", "r6")}
+    assert flags == {"r1": True, "r2": True, "r3": True, "r4": False,
+                     "r5": True, "r6": False}
+    assert parse_ring(F4X).square_zero
+    assert all(r.square_zero for r in _resolve_deep_rings())
+    # a flag, not part of the ring's bytes
+    r5 = corpus_ring("r5")
+    assert r5.key == (r5.p, r5.dim, r5.unit.tobytes(), r5.struct.tobytes())
