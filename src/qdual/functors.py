@@ -114,8 +114,7 @@ def tensor_module(m, n):
 
 def matlis_dual(m):
     """Base-field linear dual with transpose action."""
-    action = np.stack([m.action[i].T for i in range(m.ring.dim)])
-    return Module(m.ring, m.dim, action, check=False)
+    return Module(m.ring, m.dim, m.action.transpose(0, 2, 1), check=False)
 
 
 def injective_hull(ring):

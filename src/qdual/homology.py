@@ -6,12 +6,14 @@ Free modules R^b keep the coordinates of `module.free_module`, and
 kron(I_b, mult[i]).  Differentials are stored as field matrices
 between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
-v[c*d:(c+1)*d].  Each resolution degree is three `rref` calls and one
-`free_action`: one canonical kernel (`linalg.canon_kernel`), the ring
-acting on its basis, and `minimal_generators` on the syzygy, which is
-one canonical basis of its radical and one elimination picking the
-generators.  A zero kernel takes the same three, the last two on empty
-matrices.
+v[c*d:(c+1)*d].  Each resolution degree is one `free_action`, the ring
+acting on the basis of one canonical kernel (`linalg.canon_kernel`),
+and one to three `rref` calls: the kernel; then, unless m^2 = 0 with
+residue field F_p, where a minimal syzygy is killed by m and every
+kernel vector is a minimal generator, a canonical basis of the
+syzygy's radical; and, over a residue field larger than F_p, one
+elimination picking the generators.  A zero kernel takes the same
+count, on empty matrices.
 
 A resolution is one memo entry per degree, never changed after it is
 stored: `_differential(M, i)`, which `module.memoized` wraps, returns
@@ -109,10 +111,13 @@ def _differential(module, i):
     increasing order, so the recursion is never more than one level
     deep.  Raises ResolutionTooLarge, naming the degree and the shape
     of d_{i-1}, when that shape puts degree i over
-    MAX_RESOLUTION_CELLS."""
+    MAX_RESOLUTION_CELLS.  For i >= 1 over m^2 = 0 with residue field
+    F_p, every kernel vector is a generator: Omega^i lies in m F_{i-1},
+    which m kills, so `minimal_generators` would return them all."""
     ring = module.ring
-    images, syzygy = module.action, module
-    if i > 0:
+    if i == 0:
+        images, gens = module.action, minimal_generators(module)
+    else:
         prev = _differential(module, i - 1)
         rows, cols = prev.shape
         if ring.dim * cols * cols > MAX_RESOLUTION_CELLS:
@@ -125,10 +130,11 @@ def _differential(module, i):
         # the ring acts on the kernel basis once: the syzygy module in
         # K-coordinates reads the pivot rows, and d_i the columns at the
         # coordinates of its minimal generators
-        images = free_action(ring, basis)
-        syzygy = Module(ring, basis.shape[1], images[:, pivots, :],
-                        check=False)
-    dmat = generator_images(images[:, :, minimal_generators(syzygy)])
+        images, gens = free_action(ring, basis), slice(None)
+        if not (ring.square_zero and ring.residue_degree == 1):
+            gens = minimal_generators(Module(
+                ring, basis.shape[1], images[:, pivots, :], check=False))
+    dmat = generator_images(images[:, :, gens])
     dmat.setflags(write=False)
     return dmat
 

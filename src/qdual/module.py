@@ -262,11 +262,15 @@ def minimal_generators(module):
     so it contains c_j exactly when it contains R c_j, which the images
     e_i c_j under the ring basis span.  So in W = [mM basis | block 1 |
     block 2 | ...], block j holding the images of c_j, c_j is kept
-    exactly when block j holds a pivot column of rref(W).
+    exactly when block j holds a pivot column of rref(W).  Over a
+    residue field F_p no candidate is rejected (Nakayama), so W is
+    built only for larger ones.
     """
     p = module.ring.p
     basis, pivots = _radical_canon(module)
     comp = linalg.complement(basis, pivots, module.dim, p)[2]
+    if module.ring.residue_degree == 1:
+        return comp
     # c_j is the unit vector at comp[j], so e_i c_j = A_i[:, comp[j]]
     w = np.concatenate(
         [basis, generator_images(module.action[:, :, comp])], axis=1)

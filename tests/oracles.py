@@ -7,8 +7,9 @@ than one code path against itself.
 
 import numpy as np
 
-from qdual import (Module, free_module, hom_module, linalg,
-                   minimal_free_resolution, quotient_module, validate_ring)
+from qdual import (Module, free_module, linalg, minimal_free_resolution,
+                   quotient_module, radical_submodule, ses_from_submodule,
+                   validate_ring)
 
 
 def ring_text(name, p, dim, products):
@@ -76,20 +77,89 @@ def reference_tensor_module(m, n):
 
 def hom_cochain_ext_dims(m, n, bound):
     """dim Ext^i(M, N) for 0 <= i <= bound from the cochain complex
-    Hom(F_i, N) = hom_module(R^{b_i}, N), whose map phi -> phi . d_{i+1}
-    is written in the coordinates `HomData.coords` gives; it shares
-    neither `_generator_ring_blocks` nor an einsum layout with
-    `ext_dims`, only the resolution."""
+    Hom(F_i, N) = N^{b_i}, phi -> (phi(e_c))_c on the free generators.
+    If d_{i+1}(e_k) = sum_c a_ck e_c, then phi . d_{i+1} sends e_k to
+    sum_c a_ck phi(e_c), so block (k, c) of the cochain map is N's
+    action of the ring element a_ck: sum_t kron(A_t, N_t), with A_t[k, c]
+    the e_t coordinate of a_ck.  It shares neither
+    `_generator_ring_blocks` nor an einsum layout with `ext_dims`, only
+    the resolution."""
     ring = m.ring
-    p = ring.p
+    p, d = ring.p, ring.dim
     res = minimal_free_resolution(m, bound + 1)
-    homs = [hom_module(free_module(ring, b), n) for b in res.betti]
     ranks = [0]
-    for source, target, d in zip(homs, homs[1:], res.diffs[1:]):
-        h = source.module.dim
-        # basis column j of Hom(F_i, N) is a dim N x dim F_i matrix phi_j
-        phis = source.basis.T.reshape(h, n.dim, d.shape[0])
-        images = (phis @ d % p).reshape(h, n.dim * d.shape[1]).T
-        ranks.append(linalg.rank(target.coords(images), p))
-    return tuple(hom.module.dim - ranks[i] - ranks[i + 1]
-                 for i, hom in enumerate(homs[:bound + 1]))
+    for diff in res.diffs[1:]:
+        # column k is d(e_k): the columns d(e_t e_k), t < d, weighted by
+        # the unit's coordinates
+        gens = sum(int(u) * diff[:, t::d] for t, u in enumerate(ring.unit)) % p
+        cochain = sum(np.kron(gens[t::d].T, n.action[t]) for t in range(d))
+        ranks.append(linalg.rank(cochain % p, p))
+    return tuple(b * n.dim - ranks[i] - ranks[i + 1]
+                 for i, b in enumerate(res.betti[:bound + 1]))
+
+
+def closure_loop_span(module, vectors):
+    """The canonical basis of the span R V of the columns V as a
+    fixpoint loop that re-closes the span under the action until it
+    stops growing."""
+    p = module.ring.p
+    basis, pivots = linalg.canon_basis(linalg.as_fp(vectors, p), p)
+    while True:
+        if basis.shape[1] == 0:
+            return basis, pivots
+        images = [module.action[i] @ basis % p
+                  for i in range(module.ring.dim)]
+        stacked = np.concatenate([basis] + images, axis=1)
+        new_basis, new_pivots = linalg.canon_basis(stacked, p)
+        if new_basis.shape[1] == basis.shape[1]:
+            return new_basis, new_pivots
+        basis, pivots = new_basis, new_pivots
+
+
+def closure_loop_generators(module):
+    """Minimal generators as columns: each candidate of the canonical
+    complement of mM is kept when it lies outside mM plus the span of
+    those kept before, re-closed after every kept candidate."""
+    p = module.ring.p
+    basis, pivots = linalg.canon_basis(radical_submodule(module), p)
+    _, sect, _ = linalg.complement(basis, pivots, module.dim, p)
+    chosen = []
+    span, span_piv = basis, pivots
+    for j in range(sect.shape[1]):
+        c = sect[:, j:j + 1]
+        if linalg.in_span(span, span_piv, c, p):
+            continue
+        chosen.append(c)
+        span, span_piv = closure_loop_span(
+            module, np.concatenate([span, c], axis=1))
+    if not chosen:
+        return linalg.zeros(module.dim, 0)
+    return np.concatenate(chosen, axis=1)
+
+
+def _generator_columns(acts, vectors, p):
+    """Field matrix of R^s -> X sending free generator j to column j of
+    `vectors`: column j*d + t is acts[t] @ vectors[:, j]."""
+    cols = [acts[t] @ vectors[:, j] % p
+            for j in range(vectors.shape[1]) for t in range(len(acts))]
+    return np.array(cols, dtype=np.int64).reshape(
+        len(cols), vectors.shape[0]).T
+
+
+def reference_resolution(m, length):
+    """(betti, diffs) of a minimal free resolution of M to `length`,
+    built the long way: Omega^i is the submodule of R^{b_{i-1}} that
+    `ses_from_submodule` makes of the canonical kernel of d_{i-1}, its
+    generators come from the closure loop, and the ring acts on R^b by
+    the explicit kron(I_b, mult[t])."""
+    ring = m.ring
+    p, d = ring.p, ring.dim
+    diffs = [_generator_columns(m.action, closure_loop_generators(m), p)]
+    for _ in range(length):
+        b = diffs[-1].shape[1] // d
+        kernel = linalg.canon_kernel(diffs[-1], p)[0]
+        incl = ses_from_submodule(free_module(ring, b), kernel).sub
+        acts = [np.kron(linalg.identity(b), ring.mult[t]) for t in range(d)]
+        gens = incl.matrix @ closure_loop_generators(incl.source) % p
+        diffs.append(_generator_columns(acts, gens, p))
+    return tuple(x.shape[1] // d for x in diffs), diffs

@@ -5,7 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import F4X, hom_cochain_ext_dims, rebased_ring, ring_text
+from oracles import (F4X, hom_cochain_ext_dims, rebased_ring,
+                     reference_resolution, ring_text)
 
 from qdual import (Module, builtin_module, clear_resolution_cache, cli,
                    corpus_ring, ext_dims, ext_dims_via_injective,
@@ -219,12 +220,19 @@ def test_resolution_length_does_not_depend_on_the_cache():
     assert minimal_free_resolution(k, 4).betti == (1, 2, 4, 8, 16)
 
 
-@pytest.mark.parametrize("ring_name, module_name", [
-    ("r5", "k"), ("r5", "R"), ("r1", "k"), ("r2", "k"), ("r6", "E")])
-def test_each_resolution_degree_is_three_eliminations(
+# one canonical kernel; over m^2 = 0 with residue field F_p (r1, r3, r5)
+# that is all, as every kernel vector is a minimal generator.  Otherwise
+# the syzygy's radical follows, and over F_4 (r2) the elimination that
+# picks its generators.  A zero kernel costs the same, on empty matrices
+ELIMINATIONS_PER_DEGREE = {("r1", "k"): 1, ("r3", "k"): 1, ("r5", "k"): 1,
+                           ("r5", "R"): 1, ("r4", "k"): 2, ("r6", "E"): 2,
+                           ("r2", "k"): 3}
+
+
+@pytest.mark.parametrize("ring_name, module_name", ELIMINATIONS_PER_DEGREE)
+def test_eliminations_per_resolution_degree(
         monkeypatch, ring_name, module_name):
-    # one canonical kernel, then the syzygy's radical and its generators;
-    # a zero kernel costs the same three, on empty matrices
+    eliminations = ELIMINATIONS_PER_DEGREE[ring_name, module_name]
     m = builtin_module(corpus_ring(ring_name), module_name)
     calls = []
     rref = linalg.rref
@@ -249,7 +257,7 @@ def test_each_resolution_degree_is_three_eliminations(
             calls.clear()
             actions.clear()
             res = minimal_free_resolution(m, n)
-            assert len(calls) == 3, (n, res.betti, calls)
+            assert len(calls) == eliminations, (n, res.betti, calls)
             assert len(actions) == 1, (n, res.betti, actions)
 
 
@@ -488,10 +496,10 @@ def test_square_zero_tables_match_the_oracles(ring):
     # the loop answers past the first syzygy in closed form; the
     # reference resolves and ranks every degree, and the Hom cochain
     # oracle shares no einsum with either.  Betti numbers grow as e^i,
-    # so e = 3 stops at degree 3 and Ext^1 for the Hom oracle
+    # so e = 3 stops at degree 3
     assert ring.square_zero
     e = ring.dim // ring.residue_degree - 1
-    bound, hom_bound = (3, 1) if e == 3 else (5, 3)
+    bound = 3 if e == 3 else 5
     mods = [builtin_module(ring, s) for s in ("0", "k", "R", "E")]
     mods += sample_modules(ring, 3, 9, max_dim=8)
     with module.memo_scope():
@@ -500,8 +508,7 @@ def test_square_zero_tables_match_the_oracles(ring):
             assert tor_dims(m, n, bound).dims == reference_table_dims(
                 m, n, bound, "cjr,rab->cajb")
             assert ext == reference_table_dims(m, n, bound, "cjr,rab->jacb")
-            assert ext[:hom_bound + 1] == hom_cochain_ext_dims(m, n,
-                                                               hom_bound)
+            assert ext[:4] == hom_cochain_ext_dims(m, n, 3)
 
 
 def _square_zero_table(m, n, bound):
@@ -559,6 +566,25 @@ def test_square_zero_tables_resolve_two_degrees_at_depth(
         code = cli.main(["ext", "--ring", "corpus:r5", "-i", "40", "k", "k"])
     assert (code, capsys.readouterr().out) == (0, "dims %s\n" % " ".join(
         str(2 ** i) for i in range(41)))
+
+
+@pytest.mark.parametrize("ring", SQUARE_ZERO + [RINGS["r4"], RINGS["r6"]],
+                         ids=lambda r: r.name)
+def test_resolution_matches_the_reference_bytes(ring):
+    # RESOLUTION_DIGESTS pins the corpus bases; this reaches odd p,
+    # rebased bases and F_4 over m^2 = 0, where d_i takes the whole
+    # kernel as generators, against syzygies built as submodules with
+    # closure-loop generators and the ring acting through np.kron
+    e = ring.dim // ring.residue_degree - 1
+    length = 3 if ring.square_zero and e == 3 else 4
+    mods = [builtin_module(ring, s) for s in ("k", "R", "E")]
+    with module.memo_scope():
+        for m in mods + sample_modules(ring, 3, 9, max_dim=8):
+            res = minimal_free_resolution(m, length)
+            betti, diffs = reference_resolution(m, length)
+            assert all(x.dtype == np.int64 for x in res.diffs + tuple(diffs))
+            assert _resolution_parts(res.betti, res.diffs) == (
+                _resolution_parts(betti, diffs))
 
 
 # sha256 over the betti numbers, the augmentation matrix and every

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import F4X, ring_text
+from oracles import (F4X, closure_loop_generators, closure_loop_span,
+                     ring_text)
 
 from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
                    ext_dims, ext_dims_via_injective, free_module,
@@ -120,44 +121,9 @@ def test_zero_module_is_first_class(r5):
 
 
 # The span R V and minimal_generators without closure loops: compared
-# with the loops that re-close the span under the action until it stops
-# growing, and after every kept candidate.
-
-def closure_loop_span(module, vectors):
-    """The canonical basis of R V as a fixpoint loop, kept verbatim as
-    the reference."""
-    p = module.ring.p
-    vectors = _as_columns(vectors, module.dim, p)
-    basis, pivots = linalg.canon_basis(vectors, p)
-    while True:
-        if basis.shape[1] == 0:
-            return basis, pivots
-        images = [module.action[i] @ basis % p
-                  for i in range(module.ring.dim)]
-        stacked = np.concatenate([basis] + images, axis=1)
-        new_basis, new_pivots = linalg.canon_basis(stacked, p)
-        if new_basis.shape[1] == basis.shape[1]:
-            return new_basis, new_pivots
-        basis, pivots = new_basis, new_pivots
-
-
-def closure_loop_generators(module):
-    p = module.ring.p
-    basis, pivots = linalg.canon_basis(radical_submodule(module), p)
-    _, sect, _ = linalg.complement(basis, pivots, module.dim, p)
-    chosen = []
-    span, span_piv = basis, pivots
-    for j in range(sect.shape[1]):
-        c = sect[:, j:j + 1]
-        if linalg.in_span(span, span_piv, c, p):
-            continue
-        chosen.append(c)
-        span, span_piv = closure_loop_span(
-            module, np.concatenate([span, c], axis=1))
-    if not chosen:
-        return linalg.zeros(module.dim, 0)
-    return np.concatenate(chosen, axis=1)
-
+# with `oracles.closure_loop_span` and `oracles.closure_loop_generators`,
+# which re-close the span under the action until it stops growing, and
+# after every kept candidate.
 
 def _rebased(module, seed):
     """The same module in a seeded random basis, so that the canonical
