@@ -3,10 +3,11 @@
 Exit codes: 0 = every check passed (VACUOUS does not fail); 1 = at
 least one FAIL, or a `QdualError`: input that parses but breaks a ring
 or module law, or a parameter module T that fails its quasidualizing
-hypothesis; 2 = usage or parse errors, or a resolution degree over
-the cell budget `homology.MAX_RESOLUTION_CELLS`.  Output is
-deterministic for fixed inputs and seed: report lines go to stdout,
-diagnostics to stderr.
+hypothesis; 2 = usage or parse errors, a resolution degree over
+the cell budget `homology.MAX_RESOLUTION_CELLS`, or an Ext or Tor
+dimension with more digits than `sys.get_int_max_str_digits()`
+allows.  Output is deterministic for fixed inputs and seed: report
+lines go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -172,9 +173,20 @@ def _cmd_hom_or_tensor(args):
 
 
 def _cmd_ext_or_tor(args):
-    dims = homology.ext_dims if args.command == "ext" else homology.tor_dims
-    table = dims(*_load_pair(args), args.degree)
-    print("dims " + " ".join(str(d) for d in table.dims))
+    m, n = _load_pair(args)
+    ext = args.command == "ext"
+    # dim Ext^i(M, N) = dim Tor_i(M, N^v), as in `homology.ext_dims`
+    degrees = homology.tor_degrees(m, matlis_dual(n) if ext else n)
+    words = []
+    for i, dim in zip(range(args.degree + 1), degrees):
+        try:
+            words.append(str(dim))
+        except ValueError:  # over sys.get_int_max_str_digits()
+            print("error: dim %s%d has more than %d digits"
+                  % ("Ext^" if ext else "Tor_", i,
+                     sys.get_int_max_str_digits()), file=sys.stderr)
+            return 2
+    print("dims " + " ".join(words))
     return 0
 
 

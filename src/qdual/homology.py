@@ -6,14 +6,15 @@ Free modules R^b keep the coordinates of `module.free_module`, and
 kron(I_b, mult[i]).  Differentials are stored as field matrices
 between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
-v[c*d:(c+1)*d].  Each resolution degree is one `free_action`, the ring
-acting on the basis of one canonical kernel (`linalg.canon_kernel`),
-and one to three `rref` calls: the kernel; then, unless m^2 = 0 with
-residue field F_p, where a minimal syzygy is killed by m and every
-kernel vector is a minimal generator, a canonical basis of the
-syzygy's radical; and, over a residue field larger than F_p, one
-elimination picking the generators.  A zero kernel takes the same
-count, on empty matrices.
+v[c*d:(c+1)*d].  Each resolution degree is one `free_action`: over
+m^2 = 0 with residue field F_p, degree i >= 2 is copies of d_1(k),
+with no elimination; any other degree acts on the basis of one
+canonical kernel (`linalg.canon_kernel`), with one to three `rref`
+calls: the kernel; then, unless m^2 = 0 with residue field F_p, where
+a minimal syzygy is killed by m and every kernel vector is a minimal
+generator, a canonical basis of the syzygy's radical; and, over a
+residue field larger than F_p, one elimination picking the generators.
+A zero kernel takes the same count, on empty matrices.
 
 A resolution is one memo entry per degree, never changed after it is
 stored: `_differential(M, i)`, which `module.memoized` wraps, returns
@@ -70,9 +71,10 @@ from .module import (Module, _generator_ring_blocks, _radical_actions,
                      minimal_generators)
 
 # a resolution degree i makes the ring act on a kernel basis of
-# d_{i-1}: at most dim R . cols^2 cells for d_{i-1} with cols columns,
-# the largest array the degree builds.  A degree over this budget is
-# refused from the shape alone, before anything is allocated.
+# d_{i-1}: at most dim R . cols^2 cells for d_{i-1} with cols = b d
+# columns, the largest array the degree builds (copies of d_1(k) fill
+# d^2 e b^2 of them, with e < d).  A degree over this budget is refused
+# from the shape alone, before anything is allocated.
 MAX_RESOLUTION_CELLS = 1 << 24
 
 
@@ -111,9 +113,11 @@ def _differential(module, i):
     increasing order, so the recursion is never more than one level
     deep.  Raises ResolutionTooLarge, naming the degree and the shape
     of d_{i-1}, when that shape puts degree i over
-    MAX_RESOLUTION_CELLS.  For i >= 1 over m^2 = 0 with residue field
-    F_p, every kernel vector is a generator: Omega^i lies in m F_{i-1},
-    which m kills, so `minimal_generators` would return them all."""
+    MAX_RESOLUTION_CELLS.  Over m^2 = 0 with residue field F_p,
+    Omega^i lies in m F_{i-1}, which m kills: for i >= 1 every kernel
+    vector is a generator, and for i >= 2 the kernel of d_{i-1} (rank
+    b_{i-1} = dim Omega^{i-1}) is m F_{i-1}, with canonical basis
+    kron(I_b, radical), so d_i is b diagonal copies of d_1(k)."""
     ring = module.ring
     if i == 0:
         images, gens = module.action, minimal_generators(module)
@@ -126,6 +130,15 @@ def _differential(module, i):
                 "d_%d: %d cells, over the budget of %d"
                 % (i, rows, cols, i - 1, ring.dim * cols * cols,
                    MAX_RESOLUTION_CELLS))
+        if i >= 2 and ring.square_zero and ring.residue_degree == 1:
+            # b copies of d_1(k) in the diagonal blocks of (b, d, b, e d)
+            block = generator_images(free_action(ring, ring.radical))
+            b = cols // ring.dim
+            dmat = np.zeros((b, ring.dim, b, block.shape[1]), dtype=np.int64)
+            dmat[np.arange(b), :, np.arange(b)] = block
+            dmat = dmat.reshape(cols, b * block.shape[1])
+            dmat.setflags(write=False)
+            return dmat
         basis, pivots = linalg.canon_kernel(prev, ring.p)
         # the ring acts on the kernel basis once: the syzygy module in
         # K-coordinates reads the pivot rows, and d_i the columns at the

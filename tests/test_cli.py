@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import reference_tensor_module
+from oracles import reference_tensor_module, ring_text
 
 from qdual import (builtin_module, clear_resolution_cache, cli,
                    corpus_ring, serialize_module, serialize_ring)
@@ -160,6 +160,29 @@ def test_resolution_over_the_cell_budget_is_refused():
     assert run.stderr == (
         "error: resolution degree 11 acts on the kernel of the 1536x3072 "
         "d_10: 28311552 cells, over the budget of 16777216\n")
+
+
+def test_ext_and_tor_stop_at_the_int_digit_limit(tmp_path):
+    # over F_2[x_1..x_9]/m^2, dim Ext^i(k, k) = dim Tor_i(k, k) = 9^i;
+    # the first degree with more digits than Python prints is refused
+    # on one stderr line, whatever degree was asked for
+    path = tmp_path / "sz9.ring"
+    path.write_text(ring_text("sz9", 2, 10, {}))
+    limit = sys.int_info.str_digits_check_threshold
+    top = next(i for i in itertools.count() if len(str(9 ** i)) > limit)
+    dims = "dims " + " ".join(str(9 ** i) for i in range(top)) + "\n"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for command, label in (("ext", "Ext^"), ("tor", "Tor_")):
+            argv = [command, "--ring", str(path), "-i"]
+            assert run_cli(argv + [str(top - 1), "k", "k"]) == (0, dims, "")
+            for degree in (top, 10 ** 6):
+                assert run_cli(argv + [str(degree), "k", "k"]) == (
+                    2, "", "error: dim %s%d has more than %d digits\n"
+                    % (label, top, limit))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_classify_pass_and_fail():

@@ -220,20 +220,25 @@ def test_resolution_length_does_not_depend_on_the_cache():
     assert minimal_free_resolution(k, 4).betti == (1, 2, 4, 8, 16)
 
 
-# one canonical kernel; over m^2 = 0 with residue field F_p (r1, r3, r5)
-# that is all, as every kernel vector is a minimal generator.  Otherwise
-# the syzygy's radical follows, and over F_4 (r2) the elimination that
-# picks its generators.  A zero kernel costs the same, on empty matrices
-ELIMINATIONS_PER_DEGREE = {("r1", "k"): 1, ("r3", "k"): 1, ("r5", "k"): 1,
-                           ("r5", "R"): 1, ("r4", "k"): 2, ("r6", "E"): 2,
-                           ("r2", "k"): 3}
+# (degree 1, each degree >= 2).  Degree 1 is one canonical kernel; over
+# m^2 = 0 with residue field F_p (r1, r3, r5) that is all, as every
+# kernel vector is a minimal generator, and from degree 2 on d_i is
+# copies of d_1(k), built with no elimination from the ring acting on
+# its radical alone.  Otherwise each degree is the kernel, then the
+# syzygy's radical, and over F_4 (r2) the elimination that picks its
+# generators.  A zero kernel costs the same, on empty matrices
+ELIMINATIONS_PER_DEGREE = {("r1", "k"): (1, 0), ("r3", "k"): (1, 0),
+                           ("r5", "k"): (1, 0), ("r5", "R"): (1, 0),
+                           ("r4", "k"): (2, 2), ("r6", "E"): (2, 2),
+                           ("r2", "k"): (3, 3)}
 
 
 @pytest.mark.parametrize("ring_name, module_name", ELIMINATIONS_PER_DEGREE)
 def test_eliminations_per_resolution_degree(
         monkeypatch, ring_name, module_name):
-    eliminations = ELIMINATIONS_PER_DEGREE[ring_name, module_name]
-    m = builtin_module(corpus_ring(ring_name), module_name)
+    first, later = ELIMINATIONS_PER_DEGREE[ring_name, module_name]
+    ring = corpus_ring(ring_name)
+    m = builtin_module(ring, module_name)
     calls = []
     rref = linalg.rref
 
@@ -241,7 +246,7 @@ def test_eliminations_per_resolution_degree(
         calls.append(a.shape)
         return rref(a, p)
 
-    # and the ring acts on the kernel basis once
+    # and the ring acts once per degree
     actions = []
     free_action = homology.free_action
 
@@ -257,8 +262,11 @@ def test_eliminations_per_resolution_degree(
             calls.clear()
             actions.clear()
             res = minimal_free_resolution(m, n)
-            assert len(calls) == eliminations, (n, res.betti, calls)
+            assert len(calls) == (first if n == 1 else later), (
+                n, res.betti, calls)
             assert len(actions) == 1, (n, res.betti, actions)
+            if n > 1 and later == 0:
+                assert actions == [ring.radical.shape], (n, actions)
 
 
 @pytest.mark.parametrize("ring", [
@@ -585,6 +593,29 @@ def test_resolution_matches_the_reference_bytes(ring):
             assert all(x.dtype == np.int64 for x in res.diffs + tuple(diffs))
             assert _resolution_parts(res.betti, res.diffs) == (
                 _resolution_parts(betti, diffs))
+
+
+@pytest.mark.parametrize(
+    "ring", [r for r in SQUARE_ZERO if r.residue_degree == 1],
+    ids=lambda r: r.name)
+def test_square_zero_resolutions_are_exact_at_depth(ring):
+    # exactness read off the explicit matrices by rank alone, with no
+    # closed form of the Tor loop or of d_i: d_i d_{i+1} = 0 and
+    # rank d_i + rank d_{i+1} = dim F_i; past the first syzygy, which
+    # m kills, each Betti number is e times the one before
+    p, e = ring.p, ring.dim - 1
+    length = 4 if e == 3 else 6
+    mods = [builtin_module(ring, s) for s in ("k", "E")]
+    with module.memo_scope():
+        for m in mods + sample_modules(ring, 2, 9, max_dim=8):
+            res = minimal_free_resolution(m, length)
+            d = res.diffs
+            for i in range(length):
+                assert not np.any(d[i] @ d[i + 1] % p), (m, i)
+                assert (linalg.rank(d[i], p) + linalg.rank(d[i + 1], p)
+                        == d[i].shape[1]), (m, i)
+            assert all(res.betti[i + 1] == e * res.betti[i]
+                       for i in range(1, length)), (m, res.betti)
 
 
 # sha256 over the betti numbers, the augmentation matrix and every
