@@ -12,8 +12,7 @@ from __future__ import annotations
 from .errors import UnknownRing
 from .fileformat import parse_ring
 from .functors import injective_hull
-from .module import (Module, quotient_module, radical_submodule,
-                     regular_module, zero_module)
+from .module import Module, regular_module, zero_module
 
 SOURCES = {
     # the prime field F_2
@@ -121,15 +120,16 @@ def corpus_ring(name):
 
 
 def builtin_module(ring, name):
-    """The named standard module over a ring: R, E, k or 0."""
+    """The named standard module over a ring: R, E, k or 0.  k = R/m
+    wraps the action `validate_ring` recorded, with no elimination: it
+    has the bytes of `quotient_module(R, radical_submodule(R))`."""
     if name == "R":
         return regular_module(ring)
     if name == "E":
         return injective_hull(ring)
     if name == "k":
-        reg = regular_module(ring)
-        k = quotient_module(reg, radical_submodule(reg))[0]
-        return Module(ring, k.dim, k.action, name="k", check=False)
+        return Module(ring, ring.residue_degree, ring.residue_action,
+                      name="k", check=False)
     if name == "0":
         return zero_module(ring)
     raise UnknownRing("no builtin module named %r" % name)

@@ -30,8 +30,9 @@ There is one derived-functor loop, `tor_degrees`, which yields one
 degree of F_* (x) N at a time, resolving M only as far as asked.  A
 minimal d_i has its entries in m, so tau_i = d_i (x) N is ranked on the
 block of N's action whose rows and columns some radical action of N
-touches, read off `module._radical_actions` with no elimination, and
-Tor against k^a ranks nothing.  Ext comes from the loop through
+touches, read off `module._radical_actions` with no elimination at the
+first degree the loop ranks, so a pair answered in closed form never
+reads it; Tor against k^a ranks nothing.  Ext comes from the loop through
 Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
 dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
 transpose of the F_* (x) N^v one, so the ranks agree.
@@ -163,9 +164,11 @@ def _tor_loop(m, n):
     (mN lies in the others) and on the columns where every one is zero
     (their unit vectors lie in soc N): tau_i has the rank of N's action
     on the remaining rows and columns, read off the stack with no
-    elimination.  When mN = 0, that is N = k^a, the block is empty and
-    nothing is ranked.  When M or N is free, nothing past d_0 is
-    resolved or ranked.
+    elimination.  The block is read at the first degree ranked, after
+    d_i is in hand, so a pair answered by the head or the closed form
+    below never builds it.  When mN = 0, that is N = k^a, the block is
+    empty and nothing is ranked.  When M or N is free, nothing past d_0
+    is resolved or ranked.
 
     When m^2 = 0 the loop tracks omega = dim Omega^j, with Omega^0 = M
     and dim Omega^j = b_{j-1} . dim R - dim Omega^{j-1}, and hands off
@@ -187,8 +190,7 @@ def _tor_loop(m, n):
         # case dim Tor_0 = dim M . dim N / dim R
         yield m.dim * n.dim // d
         yield from itertools.repeat(0)
-    acts = _radical_actions(n)
-    block = n.action[:, acts.any(axis=(0, 2))][:, :, acts.any(axis=(0, 1))]
+    block = None
     before = 0
     omega = m.dim
     for i in itertools.count(1):
@@ -201,6 +203,11 @@ def _tor_loop(m, n):
                 yield term
                 term *= d // r - 1
         diff = _differential(m, i)
+        if block is None:
+            # N's block, read at the first degree that is ranked
+            acts = _radical_actions(n)
+            rows, cols = acts.any(axis=(0, 2)), acts.any(axis=(0, 1))
+            block = n.action[:, rows][:, :, cols]
         rank = 0
         if block.size:
             blocks = _generator_ring_blocks(diff, ring)

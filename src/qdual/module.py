@@ -121,15 +121,17 @@ def law_violation(unit, struct, action, p):
     identity, else (i, j, k) for the first pair (i, j) in row-major
     order with A_i A_j != sum_l struct[i, j, l] A_l, k the first column
     where they differ.  Batching over j alone keeps the temporaries at
-    O(dim R * n^2).
+    O(dim R * n^2).  Each sum over the ring basis is one matmul on the
+    flattened (dim R, n * n) stack.
     """
-    n = action.shape[1]
-    unit_act = np.tensordot(unit, action, axes=(0, 0)) % p
+    d, n = len(unit), action.shape[1]
+    flat = action.reshape(d, n * n)
+    unit_act = (unit @ flat % p).reshape(n, n)
     if linalg.first_mismatch(unit_act, linalg.identity(n)) is not None:
         return "unit"
     for i, a_i in enumerate(action):
         lhs = a_i @ action % p
-        rhs = np.tensordot(struct[i], action, axes=(1, 0)) % p
+        rhs = (struct[i] @ flat % p).reshape(d, n, n)
         j = linalg.first_mismatch(lhs, rhs)
         if j is not None:
             return i, j, linalg.first_mismatch(lhs[j].T, rhs[j].T)
@@ -219,9 +221,12 @@ def radical_submodule(module):
 def _radical_actions(module):
     """The (r, n, n) stack of the actions of the radical basis elements:
     mM is the span of its columns and soc M the common kernel of its
-    matrices."""
-    return np.tensordot(module.ring.radical.T, module.action,
-                        axes=(1, 0)) % module.ring.p
+    matrices.  One matmul on the flattened (dim R, n * n) stack, with
+    every axis named, so r = 0 and n = 0 give empty stacks."""
+    ring, n = module.ring, module.dim
+    flat = module.action.reshape(ring.dim, n * n)
+    return (ring.radical.T @ flat % ring.p).reshape(ring.radical.shape[1],
+                                                    n, n)
 
 
 def _radical_canon(module):

@@ -3,11 +3,14 @@
 A ring is given by structure constants: struct[i, j] is the coordinate
 column of e_i * e_j in the chosen basis.  Validation checks every ring
 law and computes the nilradical (= the maximal ideal, once locality is
-established) via the Frobenius map, which is linear over a prime field,
-and records whether m^2 = 0, which lets the Tor loop answer in closed
-form.  The unit and associativity laws are the module laws of R over
-itself, so `module.law_violation` checks them, as it checks module
-files.
+established) via the Frobenius map, which is linear over a prime field.
+It records whether m^2 = 0, which lets the Tor loop answer in closed
+form, and the action of the residue field k = R/m, read off the
+projection and section that the locality check builds, so that
+`corpus.builtin_module(ring, "k")` takes no elimination.  The unit and
+associativity laws are the module laws of R over itself, so
+`module.law_violation` checks them, as it checks module files.  A
+validated ring's arrays are read-only: `Ring.key` is their bytes.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ class Ring:
 
     __slots__ = (
         "name", "p", "dim", "unit", "struct", "mult",
-        "radical", "residue_degree", "square_zero", "key",
+        "radical", "residue_degree", "square_zero", "residue_action",
+        "key",
     )
 
     def __init__(self, name, p, dim, unit, struct, mult, radical,
-                 residue_degree, square_zero):
+                 square_zero, residue_action):
+        for arr in (unit, struct, mult, radical, residue_action):
+            arr.setflags(write=False)
         self.name = name
         self.p = p
         self.dim = dim
@@ -47,8 +53,9 @@ class Ring:
         self.struct = struct
         self.mult = mult                 # mult[i] = left multiplication by e_i
         self.radical = radical           # canonical basis of the maximal ideal
-        self.residue_degree = residue_degree
+        self.residue_degree = residue_action.shape[1]
         self.square_zero = square_zero   # m^2 = 0; read by the Tor loop
+        self.residue_action = residue_action   # k = R/m; outside the key
         self.key = (p, dim, unit.tobytes(), struct.tobytes())
 
     def __repr__(self):
@@ -100,12 +107,15 @@ def validate_ring(name, p, dim, unit, struct):
     # the nilradical of a commutative ring is an ideal, so it needs no
     # closure check
     radical, radical_pivots = _nilradical(p, dim, frob)
-    residue_degree = _check_local(p, dim, frob, radical, radical_pivots)
+    proj, sect = _check_local(p, dim, frob, radical, radical_pivots)
+    # k = R/m acts by proj L_i sect, as `module.quotient_module` gives it
+    residue_action = proj @ mult % p @ sect % p
     # m^2 = 0 exactly when every radical basis vector kills the radical
-    acts = np.tensordot(radical.T, mult, axes=(1, 0)) % p
+    r = radical.shape[1]
+    acts = (radical.T @ mult.reshape(dim, dim * dim) % p).reshape(r, dim, dim)
     square_zero = not np.any(acts @ radical % p)
-    return Ring(name, p, dim, unit, struct, mult, radical, residue_degree,
-                square_zero)
+    return Ring(name, p, dim, unit, struct, mult, radical, square_zero,
+                residue_action)
 
 
 def _nilradical(p, dim, frob):
@@ -119,8 +129,9 @@ def _nilradical(p, dim, frob):
 
 
 def _check_local(p, dim, frob, radical, radical_pivots):
-    """Local iff the Frobenius-fixed subspace of R/N is one-dimensional
-    (one simple factor of the semisimple quotient)."""
+    """(proj, sect) of R onto R/N, after checking that R is local: the
+    Frobenius-fixed subspace of R/N is one-dimensional (one simple
+    factor of the semisimple quotient)."""
     proj, sect, _ = linalg.complement(radical, radical_pivots, dim, p)
     q = proj.shape[0]
     # R -> R/N is a ring map, so Frobenius on R/N is the projected one
@@ -130,4 +141,4 @@ def _check_local(p, dim, frob, radical, radical_pivots):
         raise NotLocal(
             "semisimple quotient has %d simple factors" % factors,
             witness=factors)
-    return q
+    return proj, sect

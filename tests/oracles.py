@@ -8,8 +8,8 @@ than one code path against itself.
 import numpy as np
 
 from qdual import (Module, free_module, linalg, minimal_free_resolution,
-                   quotient_module, radical_submodule, ses_from_submodule,
-                   validate_ring)
+                   quotient_module, radical_submodule, regular_module,
+                   ses_from_submodule, validate_ring)
 
 
 def ring_text(name, p, dim, products):
@@ -53,6 +53,14 @@ def rebased_ring(ring, seed):
     struct = products @ r[:, d:].T % p
     return validate_ring("%s@%d" % (ring.name, seed), p, d,
                          linalg.identity(d)[0], struct)
+
+
+def reference_residue_field(ring):
+    """k = R/mR as `quotient_module` builds it: one canonical basis of
+    the radical actions on R, the rref-pivot complement and the closure
+    check, with none of what `validate_ring` recorded."""
+    reg = regular_module(ring)
+    return quotient_module(reg, radical_submodule(reg))[0]
 
 
 def reference_tensor_module(m, n):

@@ -298,6 +298,37 @@ def test_tor_against_copies_of_k_ranks_nothing(monkeypatch, ring):
     assert calls == []
 
 
+def test_tor_block_is_read_only_at_a_ranked_degree(monkeypatch):
+    # the loop reads N's block at the first degree it ranks: never for a
+    # k-against-k table, which the m^2 = 0 closed form answers at once,
+    # and once for a pair that ranks tau_1 before handing off
+    calls = []
+    radical_actions = homology._radical_actions
+
+    def spy(x):
+        calls.append(x.dim)
+        return radical_actions(x)
+
+    monkeypatch.setattr(homology, "_radical_actions", spy)
+    r5 = corpus_ring("r5")
+    with module.memo_scope():
+        for ring in (r5, parse_ring(ring_text("rsz", 3, 3, {}))):
+            k = builtin_module(ring, "k")
+            assert tor_dims(k, k, 40).dims == tuple(2 ** i
+                                                    for i in range(41))
+            assert ext_dims(k, k, 40).dims == tor_dims(k, k, 40).dims
+        assert calls == []
+        # M not killed by m, and neither M nor M^v free
+        m = next(x for x in sample_modules(r5, 4, 19, max_dim=6)
+                 if radical_submodule(x).shape[1] and all(
+                     minimal_generator_count(y) * r5.dim != y.dim
+                     for y in (x, matlis_dual(x))))
+        for table in (tor_dims, ext_dims):
+            calls.clear()
+            table(m, m, 10)
+            assert len(calls) == 1, (table.__name__, calls)
+
+
 def reference_table_dims(m, n, bound, layout):
     """The whole table from one resolution of length bound+1, as Ext/Tor
     were computed before degrees were ranked one at a time."""

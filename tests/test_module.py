@@ -15,8 +15,8 @@ from qdual import (Module, ModuleMap, builtin_module, corpus_ring,
                    regular_module, sample_modules, ses_from_submodule,
                    socle, zero_module)
 from qdual import linalg
-from qdual.module import (_as_columns, closure_generators, free_action,
-                          minimal_generators)
+from qdual.module import (_as_columns, _radical_actions, closure_generators,
+                          free_action, law_violation, minimal_generators)
 from qdual.errors import (InvalidModuleMap, ModuleValidationError,
                           NotSubmodule)
 
@@ -118,6 +118,55 @@ def test_zero_module_is_first_class(r5):
     assert z.dim == 0
     assert minimal_generator_count(z) == 0
     assert socle(z).shape == (0, 0)
+
+
+# Contractions over the ring basis are matmuls on the flattened
+# (dim R, n * n) stack; these einsum references keep every axis, so
+# they also hold at n = 0 and at r = 0 (the fields r1 and r2)
+
+def einsum_radical_actions(module):
+    ring = module.ring
+    return np.einsum("lr,lab->rab", ring.radical, module.action) % ring.p
+
+
+def einsum_law_violation(unit, struct, action, p):
+    """The first law broken, in `law_violation`'s order: the unit, then
+    (i, j, k) for the first pair (i, j) and the first column k where
+    A_i A_j and sum_l struct[i, j, l] A_l differ."""
+    n = action.shape[1]
+    if not np.array_equal(np.einsum("l,lab->ab", unit, action) % p,
+                          linalg.identity(n)):
+        return "unit"
+    lhs = np.einsum("iab,jbc->ijac", action, action) % p
+    rhs = np.einsum("ijl,lac->ijac", struct, action) % p
+    bad = np.argwhere((lhs != rhs).any(axis=2))
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+@pytest.mark.parametrize("name", ["r1", "r2", "r5"])
+def test_contractions_match_einsum_at_the_edges(name):
+    ring = corpus_ring(name)
+    mods = [zero_module(ring)] + [builtin_module(ring, x)
+                                  for x in ("k", "R", "E")]
+    mods += sample_modules(ring, 2, 13, max_dim=6)
+    for m in mods:
+        acts = _radical_actions(m)
+        assert acts.shape == (ring.radical.shape[1], m.dim, m.dim)
+        assert np.array_equal(acts, einsum_radical_actions(m)), m
+    # stacks that break a law, or none, with the unit acting as I
+    rng = np.random.default_rng(5)
+    stacks = [m.action for m in mods]
+    for n in (0, 1, 2, 3):
+        for _ in range(4):
+            action = rng.integers(0, ring.p, size=(ring.dim, n, n))
+            stacks.append(action)
+            action = action.copy()
+            action[0] = linalg.identity(n)
+            stacks.append(action)
+    stacks.append(ring.mult)
+    for action in stacks:
+        assert law_violation(ring.unit, ring.struct, action, ring.p) == \
+            einsum_law_violation(ring.unit, ring.struct, action, ring.p)
 
 
 # The span R V and minimal_generators without closure loops: compared

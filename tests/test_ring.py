@@ -1,13 +1,15 @@
 """Ring validation: corpus structure, law violations, locality."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import F4X
+from oracles import F4X, rebased_ring, reference_residue_field, ring_text
 
-from qdual import corpus_ring, parse_ring, validate_ring
+from qdual import (builtin_module, corpus_ring, linalg, parse_ring,
+                   validate_ring)
 from qdual.errors import (NotAssociative, NotCommutative, NotLocal,
                           NotPrime)
 
@@ -130,10 +132,14 @@ def _struct(dim, products):
     return struct
 
 
+def _truncated_cubic():
+    """F_p[x]/(x^3) at p = BIG_P, basis 1, x, x^2."""
+    return validate_ring("t3", BIG_P, 3, [1, 0, 0],
+                         _struct(3, {(1, 1): [0, 0, 1]}))
+
+
 def test_truncated_polynomial_at_large_prime():
-    # F_p[x]/(x^3) with basis 1, x, x^2
-    r = validate_ring("t3", BIG_P, 3, [1, 0, 0],
-                      _struct(3, {(1, 1): [0, 0, 1]}))
+    r = _truncated_cubic()
     assert r.radical.shape[1] == 2
     assert r.residue_degree == 1
 
@@ -183,3 +189,64 @@ def test_square_zero_flag():
     # a flag, not part of the ring's bytes
     r5 = corpus_ring("r5")
     assert r5.key == (r5.p, r5.dim, r5.unit.tobytes(), r5.struct.tobytes())
+
+
+# sha256 of "p dim " + unit bytes + struct bytes, as Ring.key holds them
+KEY_DIGESTS = {
+    "r1": "d38f8abd0a231e5c", "r2": "826a6da20dbab091",
+    "r3": "1a751aa4516e06e2", "r4": "2f33f32b30771d50",
+    "r5": "30ff87f664c9b8c0", "r6": "38afa4a3d5a020fb",
+}
+
+
+def test_ring_key_bytes_are_pinned():
+    for name, digest in KEY_DIGESTS.items():
+        p, dim, unit, struct = corpus_ring(name).key
+        assert hashlib.sha256(b"%d %d " % (p, dim) + unit + struct
+                              ).hexdigest()[:16] == digest, name
+
+
+def test_ring_arrays_are_read_only():
+    # Ring.key is the bytes of unit and struct, so a write would
+    # desynchronise every memo key; each one raises instead
+    r = corpus_ring("r5")
+    key = r.key
+    for name in ("unit", "struct", "mult", "radical", "residue_action"):
+        arr = getattr(r, name)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+        with pytest.raises(ValueError):
+            arr += 1
+    assert r.key == key
+
+
+def _residue_subjects():
+    """r1..r6 (r2 has residue degree 2), F_4[x]/(x^2), the m^2 = 0
+    family F_p[x, y]/(x, y)^2 in seeded bases at p = 2, 3, 5, and two
+    rings at p = BIG_P."""
+    rings = [corpus_ring(name) for name in ("r1", "r2", "r3", "r4", "r5",
+                                            "r6")]
+    rings.append(parse_ring(F4X))
+    for p in (2, 3, 5):
+        square_zero = parse_ring(ring_text("sz%d" % p, p, 3, {}))
+        rings += [rebased_ring(square_zero, seed) for seed in (1, 2)]
+    rings.append(_truncated_cubic())
+    return rings
+
+
+def test_residue_field_has_the_quotient_bytes(monkeypatch):
+    rings = _residue_subjects()
+    calls = []
+    rref = linalg.rref
+
+    def spy(a, p):
+        calls.append(a.shape)
+        return rref(a, p)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    ks = [builtin_module(ring, "k") for ring in rings]
+    assert calls == []
+    for ring, k in zip(rings, ks):
+        want = reference_residue_field(ring)
+        assert k.key == want.key, ring.name
+        assert k.dim == ring.residue_degree and k.name == "k"
