@@ -6,7 +6,9 @@ Basis conventions are fixed once and reused everywhere:
 * a hom element phi: M -> N is a (dim N) x (dim M) matrix, flattened
   row-major; the hom basis is the deterministic kernel basis of the
   commutation constraints, so coordinates of any R-linear map are just
-  its flattened matrix restricted to the kernel's free indices;
+  its flattened matrix restricted to the kernel's free indices.  The
+  basis depends on the space of maps alone, so `hom_module` reads it
+  off the spanning sets that Matlis duality gives, when it gives one;
 * M (x)_R N is the Matlis dual of Hom_R(N, M^v), with the same basis:
   an element of M (x)_k N ordered (a, b) -> a*dimN + b is a flattened
   dim M x dim N matrix, i.e. a map N -> M^v, and the tensor basis is
@@ -28,7 +30,8 @@ import numpy as np
 
 from . import linalg
 from .errors import RingMismatch
-from .module import Module, ModuleMap, memoized, regular_module
+from .module import (Module, ModuleMap, memo_lookup, memoized,
+                     regular_module)
 
 
 @dataclass(frozen=True)
@@ -74,24 +77,49 @@ class TensorData:
 
 @memoized
 def hom_module(m, n):
-    """Hom_R(M, N) with the ring acting through the target."""
+    """Hom_R(M, N) with the ring acting through the target.
+
+    By Matlis duality (Matlis, "Injective modules over Noetherian
+    rings", 1958) the maps are X = [B_0 y | ... | B_{d-1} y], y in N,
+    if M is R; X with row j f A_j, f in Hom_k(M, k), if N is E; and the
+    transposed Hom(N^v, M^v), read (never written) through
+    `module.memo_lookup` when the memo holds it.  On such a span
+    `linalg.span_with_support` gives the constraint kernel's bytes.
+    """
     if m.ring.key != n.ring.key:
         raise RingMismatch("functor arguments live over different rings")
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
-    # vec(X A_i) - vec(B_i X) = 0, row-major vec: entry (i, a, b, c, e)
-    # is delta_ac A_i[e, b] - B_i[a, c] delta_be
-    constraint = (linalg.eye_kron(nn, m.action.transpose(0, 2, 1))
-                  - linalg.kron_eye(n.action, nm)) % p
-    constraint = constraint.reshape(ring.dim * nn * nm, nn * nm)
-    basis, support = linalg.kernel_with_support(constraint, p)
+    span = dual = None
+    # over one ring, action bytes equal to R's (E's) make M = R (N = E)
+    if m.key[2] == ring.mult.tobytes():
+        span = n.action.transpose(1, 0, 2).reshape(nn * nm, nn)
+    elif n.key[2] == ring.mult.transpose(0, 2, 1).tobytes():
+        span = m.action.transpose(0, 2, 1).reshape(nn * nm, nm)
+    else:  # the memo's key is the undecorated body, not its bound name
+        dual = memo_lookup(_hom_body, matlis_dual(n), matlis_dual(m))
+    if dual is not None:
+        h = dual.module.dim
+        span = dual.basis.reshape(nm, nn, h).swapaxes(0, 1).reshape(nn * nm, h)
+    if span is not None:
+        basis, support = linalg.span_with_support(span, p)
+    else:
+        # vec(X A_i) - vec(B_i X) = 0, row-major vec: entry (i, a, b, c, e)
+        # is delta_ac A_i[e, b] - B_i[a, c] delta_be
+        constraint = (linalg.eye_kron(nn, m.action.transpose(0, 2, 1))
+                      - linalg.kron_eye(n.action, nm)) % p
+        constraint = constraint.reshape(ring.dim * nn * nm, nn * nm)
+        basis, support = linalg.kernel_with_support(constraint, p)
     h = basis.shape[1]
     # B_i X for every basis column X, read as an nn x nm matrix
     action = (n.action @ basis.reshape(nn, nm * h) % p).reshape(
         ring.dim, nn * nm, h)[:, support, :]
     module = Module(ring, h, action, check=False)
     return HomData(module, basis, tuple(support))
+
+
+_hom_body = hom_module.__wrapped__
 
 
 @memoized

@@ -13,6 +13,8 @@ also lets `canon_kernel` read the canonical basis of a kernel from one
 elimination: with the columns reversed, each kernel column is nonzero
 only at its free row and at pivot rows above it, so the basis flipped
 back is already in reduced echelon form, the one `canon_basis` gives.
+Read the other way, `span_with_support` gives the `kernel_with_support`
+basis of a null space from any spanning set of it, with no matrix.
 
 - p = 2: each row is packed into one Python int, column 0 the top bit,
   and rows are added one at a time with XOR updates: the bit-packed
@@ -193,6 +195,15 @@ def canon_kernel(a, p):
     n = a.shape[1]
     k, free = kernel_with_support(a[:, ::-1], p)
     return k[::-1, ::-1].copy(), [n - 1 - c for c in reversed(free)]
+
+
+def span_with_support(vectors, p):
+    """(basis, support) of the span of the columns, as
+    `kernel_with_support` gives it for every matrix with that null
+    space: `canon_basis` with the rows reversed, flipped back."""
+    n = vectors.shape[0]
+    s, pivots = canon_basis(vectors[::-1], p)
+    return s[::-1, ::-1].copy(), [n - 1 - c for c in reversed(pivots)]
 
 
 def in_span(basis, pivots, vectors, p):

@@ -12,11 +12,12 @@ quotient and sequence comes from `_quotient`, and only `free_module`,
 `_generator_ring_blocks`, which reads a differential back as ring
 elements, know the coordinate layout of a free module R^b.
 
-The run-scoped memo lives here, beside `Module.key`: the dict held by
-the `memo` context variable, swapped fresh by `memo_scope` and emptied
-by `clear_resolution_cache`.  Its one rule: a value is keyed by the
+The run-scoped memo lives here, beside `Module.key`, which each module
+stores once, at construction: the dict held by the `memo` context
+variable, swapped fresh by `memo_scope` and emptied by
+`clear_resolution_cache`.  Its one rule: a value is keyed by the
 function that built it and its arguments' bytes.  The `memoized`
-decorator is the one path that writes it.
+decorator is the one path that writes it; `memo_lookup` only reads it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,16 @@ def clear_resolution_cache():
     memo.get().clear()
 
 
+def _memo_key(build, args):
+    return (build, *[a.key if isinstance(a, Module) else a for a in args])
+
+
+def memo_lookup(build, *args):
+    """The value `memoized(build)` stored for args in the current memo,
+    or None if it holds none; the memo is left as it is."""
+    return memo.get().get(_memo_key(build, args))
+
+
 def memoized(build):
     """Wrap build(*args) so that it runs once per (build, args with each
     Module replaced by its key) in the current memo; every caller gets
@@ -68,7 +79,7 @@ def memoized(build):
 
     @functools.wraps(build)
     def wrapper(*args):
-        key = (build, *[a.key if isinstance(a, Module) else a for a in args])
+        key = _memo_key(build, args)
         facts = memo.get()
         if key not in facts:
             facts[key] = build(*args)
@@ -80,7 +91,7 @@ def memoized(build):
 class Module:
     """Immutable module given by action matrices."""
 
-    __slots__ = ("ring", "dim", "action", "name")
+    __slots__ = ("ring", "dim", "action", "name", "key")
 
     def __init__(self, ring, dim, action, name=None, check=True):
         self.ring = ring
@@ -89,14 +100,10 @@ class Module:
         action.setflags(write=False)
         self.action = action
         self.name = name
+        # its bytes over its ring: the memo key of all derived values
+        self.key = (ring.key, self.dim, action.tobytes())
         if check:
             self.validate()
-
-    @property
-    def key(self):
-        """The module's bytes over its ring, rebuilt on each read: the
-        memo key of every value derived from the module."""
-        return (self.ring.key, self.dim, self.action.tobytes())
 
     def validate(self):
         """Unit law and compatibility A_i A_j = sum_k c[i][j][k] A_k for

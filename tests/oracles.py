@@ -63,6 +63,35 @@ def reference_residue_field(ring):
     return quotient_module(reg, radical_submodule(reg))[0]
 
 
+def reordered_ring(ring, order):
+    """The same algebra with basis e'_a = e_{order[a]}, read back through
+    `validate_ring`: the unit is e'_a for the a with order[a] = 0."""
+    idx = np.asarray(order)
+    struct = ring.struct[np.ix_(idx, idx, idx)]
+    return validate_ring("%s:%s" % (ring.name, "".join(map(str, order))),
+                         ring.p, ring.dim, ring.unit[idx], struct)
+
+
+def reference_hom(m, n):
+    """(module, basis, support) of Hom_R(M, N) as the kernel of the
+    commutation constraints vec(X A_i) - vec(B_i X) over the whole ring
+    basis, with the action B_i X read on the kernel's support."""
+    ring = m.ring
+    p = ring.p
+    nm, nn = m.dim, n.dim
+    # vec(X A_i) - vec(B_i X) = 0, row-major vec: entry (i, a, b, c, e)
+    # is delta_ac A_i[e, b] - B_i[a, c] delta_be
+    constraint = (linalg.eye_kron(nn, m.action.transpose(0, 2, 1))
+                  - linalg.kron_eye(n.action, nm)) % p
+    constraint = constraint.reshape(ring.dim * nn * nm, nn * nm)
+    basis, support = linalg.kernel_with_support(constraint, p)
+    h = basis.shape[1]
+    # B_i X for every basis column X, read as an nn x nm matrix
+    action = (n.action @ basis.reshape(nn, nm * h) % p).reshape(
+        ring.dim, nn * nm, h)[:, support, :]
+    return Module(ring, h, action, check=False), basis, tuple(support)
+
+
 def reference_tensor_module(m, n):
     """(module, proj, sect) of M (x)_R N as the quotient of the
     vector-space tensor M (x)_k N, basis (a, b) -> a*dimN + b and R

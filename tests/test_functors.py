@@ -6,7 +6,8 @@ import types
 
 import numpy as np
 import pytest
-from oracles import F4X, reference_tensor_module
+from oracles import (F4X, rebased_ring, reference_hom,
+                     reference_tensor_module, reordered_ring, ring_text)
 
 from qdual import (Module, ModuleMap, biduality_map, builtin_module,
                    clear_resolution_cache, corpus_ring, evaluation_map,
@@ -302,22 +303,37 @@ def test_functor_data_is_read_only():
         hom.support[0] = 1
 
 
-# Hom and tensor data live in the run-scoped memo.  Functors builds a
-# Hom with exactly one kernel_with_support call and a tensor with one
-# Hom, so counting functors' kernel_with_support calls counts Hom
-# constructions; resolutions reach kernel_with_support through
-# linalg.canon_kernel, so the spy sees only the calls made by functors.
+# Hom and tensor data live in the run-scoped memo.  Each run of the Hom
+# body, that is each memo miss, ends in exactly one HomData, whichever
+# case answers it, and a tensor builds one Hom; so counting the HomData
+# that functors makes counts Hom constructions.
 
 def _hom_builds(monkeypatch):
     builds = []
+    real = functors.HomData
+
+    def spy(module, basis, support):
+        builds.append(basis.shape)
+        return real(module, basis, support)
+
+    monkeypatch.setattr(functors, "HomData", spy)
+    return builds
+
+
+# A Hom that no Matlis read-off answers solves its constraints with one
+# kernel_with_support call; resolutions reach kernel_with_support through
+# linalg.canon_kernel, so the spy sees only the solves made by functors.
+
+def _constraint_solves(monkeypatch):
+    solves = []
 
     def spy(a, p):
-        builds.append(a.shape)
+        solves.append(a.shape)
         return linalg.kernel_with_support(a, p)
 
     monkeypatch.setattr(functors, "linalg", types.SimpleNamespace(
         **{**vars(linalg), "kernel_with_support": spy}))
-    return builds
+    return solves
 
 
 def _renamed(m, name):
@@ -421,3 +437,51 @@ def test_run_verify_builds_each_requested_hom_once(monkeypatch):
     builds = _hom_builds(monkeypatch)
     cli.run_verify(corpus_ring("r3"), list(cli.SUITES), 4, 4, 7)
     assert len(builds) == len(set(requests)) < len(requests)
+
+
+# r1..r6, F_4[x]/(x^2), r5 and r6 in seeded bases, F_3[x,y]/(x,y)^2,
+# and F_2[x]/(x^2) in basis (x, 1) and F_5[x]/(x^3) in basis (x, x^2, 1),
+# whose unit is not e_0
+HOM_RINGS = [corpus_ring(n) for n in ("r1", "r2", "r3", "r4", "r5", "r6")]
+HOM_RINGS += [parse_ring(F4X), rebased_ring(corpus_ring("r5"), 1),
+              rebased_ring(corpus_ring("r6"), 2),
+              parse_ring(ring_text("rsz", 3, 3, {})),
+              reordered_ring(parse_ring(ring_text("f2x", 2, 2, {})), [1, 0]),
+              reordered_ring(parse_ring(ring_text(
+                  "f5x", 5, 3, {(1, 1): [0, 0, 1]})), [1, 2, 0])]
+
+
+@pytest.mark.parametrize("ring", HOM_RINGS, ids=lambda r: r.name)
+def test_hom_matches_the_constraint_kernel(monkeypatch, ring):
+    # every case of hom_module gives the bytes of the kernel of the
+    # constraints, built cold and with its Matlis dual partner built
+    # first; a pair out of R or into E needs no solve cold, and none
+    # does with its partner in the memo
+    mods = [builtin_module(ring, name) for name in ("R", "E", "k", "0")]
+    mods += sample_modules(ring, 3, 11, max_dim=6)
+    solves = _constraint_solves(monkeypatch)
+    for m, n in itertools.product(mods, repeat=2):
+        want, basis, support = reference_hom(m, n)
+        read_off = (np.array_equal(m.action, ring.mult)
+                    or np.array_equal(n.action, ring.mult.transpose(0, 2, 1)))
+        for partner in (False, True):
+            with module.memo_scope():
+                if partner:
+                    hom_module(matlis_dual(n), matlis_dual(m))
+                solves.clear()
+                got = hom_module(m, n)
+            assert len(solves) == (0 if partner or read_off else 1)
+            assert got.module.key == want.key
+            assert got.support == support
+            for mine, theirs in ((got.basis, basis),
+                                 (got.module.action, want.action)):
+                _assert_same_arrays(mine, theirs)
+
+
+def test_run_verify_solves_constraints_for_few_homs(monkeypatch):
+    # the other Homs of the run are read off R, E or a Matlis dual
+    builds = _hom_builds(monkeypatch)
+    solves = _constraint_solves(monkeypatch)
+    cli.run_verify(corpus_ring("r5"), ["theorem-b", "class-equality"],
+                   4, 5, 7)
+    assert len(solves) == 14 < len(builds)

@@ -489,3 +489,14 @@ def test_free_module_action_is_kron_with_identity(ring):
         for i in range(ring.dim):
             want = np.kron(np.eye(rank, dtype=np.int64), ring.mult[i])
             assert np.array_equal(action[i], want)
+
+
+def test_key_is_stored_once(r5):
+    # the memo key is the module's bytes over its ring, built at
+    # construction: every read returns the one tuple
+    mods = [builtin_module(r5, name) for name in ("0", "k", "R", "E")]
+    mods += sample_modules(r5, 1, 3)
+    mods.append(hom_module(mods[3], mods[4]).module)
+    for m in mods:
+        assert m.key is m.key
+        assert m.key == (r5.key, m.dim, m.action.tobytes())
