@@ -4,10 +4,11 @@ Exit codes: 0 = every check passed (VACUOUS does not fail); 1 = at
 least one FAIL, or a `QdualError`: input that parses but breaks a ring
 or module law, or a parameter module T that fails its quasidualizing
 hypothesis; 2 = usage or parse errors, a resolution degree over
-the cell budget `homology.MAX_RESOLUTION_CELLS`, or an Ext or Tor
-dimension with more digits than `sys.get_int_max_str_digits()`
-allows.  Output is deterministic for fixed inputs and seed: report
-lines go to stdout, diagnostics to stderr.
+the cell budget `homology.MAX_RESOLUTION_CELLS`, or a Betti number,
+Ext or Tor dimension with more digits than
+`sys.get_int_max_str_digits()` allows.  Output is deterministic for
+fixed inputs and seed: report lines go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -172,29 +173,29 @@ def _cmd_hom_or_tensor(args):
     return 0
 
 
-def _cmd_ext_or_tor(args):
+# command -> (word before the numbers, name of number i in the error)
+_DIMS = {"resolve": ("betti", "b_"), "ext": ("dims", "dim Ext^"),
+         "tor": ("dims", "dim Tor_")}
+
+
+def _cmd_dims(args):
+    """`resolve`, `ext` and `tor`, each number one degree of the Tor
+    loop: b_i = dim Tor_i(M, k) / r for r the residue degree, and
+    dim Ext^i(M, N) = dim Tor_i(M, N^v), as in `homology.ext_dims`."""
     m, n = _load_pair(args)
-    ext = args.command == "ext"
-    # dim Ext^i(M, N) = dim Tor_i(M, N^v), as in `homology.ext_dims`
-    degrees = homology.tor_degrees(m, matlis_dual(n) if ext else n)
+    if args.command == "ext":
+        n = matlis_dual(n)
+    scale = m.ring.residue_degree if args.command == "resolve" else 1
+    word, name = _DIMS[args.command]
     words = []
-    for i, dim in zip(range(args.degree + 1), degrees):
+    for i, dim in zip(range(args.degree + 1), homology.tor_degrees(m, n)):
         try:
-            words.append(str(dim))
+            words.append(str(dim // scale))
         except ValueError:  # over sys.get_int_max_str_digits()
-            print("error: dim %s%d has more than %d digits"
-                  % ("Ext^" if ext else "Tor_", i,
-                     sys.get_int_max_str_digits()), file=sys.stderr)
+            print("error: %s%d has more than %d digits"
+                  % (name, i, sys.get_int_max_str_digits()), file=sys.stderr)
             return 2
-    print("dims " + " ".join(words))
-    return 0
-
-
-def _cmd_resolve(args):
-    ring = load_ring(args.ring)
-    m = load_module(args.module, ring)
-    res = homology.minimal_free_resolution(m, args.length)
-    print("betti " + " ".join(str(b) for b in res.betti))
+    print(word, *words)
     return 0
 
 
@@ -253,13 +254,15 @@ def build_parser():
         p.add_argument("-i", "--degree", type=int, default=4)
         p.add_argument("source")
         p.add_argument("target")
-        p.set_defaults(func=_cmd_ext_or_tor)
+        p.set_defaults(func=_cmd_dims)
 
+    # Betti numbers are read off Tor against k, degree for degree
     p = sub.add_parser("resolve", help="minimal free resolution prefix")
     ring_arg(p)
-    p.add_argument("-l", "--length", type=int, default=4)
-    p.add_argument("module")
-    p.set_defaults(func=_cmd_resolve)
+    p.add_argument("-l", "--length", dest="degree", metavar="LENGTH",
+                   type=int, default=4)
+    p.add_argument("source", metavar="module")
+    p.set_defaults(func=_cmd_dims, target="k")
 
     p = sub.add_parser("classify", help="test a dualizing-module predicate")
     ring_arg(p)
@@ -285,11 +288,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "bound", 1) < 1 or getattr(args, "samples", 1) < 1:
         parser.error("bound and samples must be at least 1")
-    if getattr(args, "degree", 0) < 0 or getattr(args, "length", 0) < 0:
+    if getattr(args, "degree", 0) < 0:   # resolve's -l included
         parser.error("degree and length must be at least 0")
     # islice and numpy take counts below sys.maxsize and seeds from 0
     counts = [getattr(args, name, 0)
-              for name in ("bound", "samples", "degree", "length")]
+              for name in ("bound", "samples", "degree")]
     if getattr(args, "seed", 0) < 0 or max(counts) >= sys.maxsize:
         parser.error("seed must be at least 0, and bound, samples, degree "
                      "and length below %d" % sys.maxsize)

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RingMismatch
-from .module import (Module, ModuleMap, memo_lookup, memoized,
-                     regular_module)
+from .module import Module, ModuleMap, memoized, regular_module
 
 
 @dataclass(frozen=True)
@@ -82,26 +81,29 @@ def hom_module(m, n):
     By Matlis duality (Matlis, "Injective modules over Noetherian
     rings", 1958) the maps are X = [B_0 y | ... | B_{d-1} y], y in N,
     if M is R; X with row j f A_j, f in Hom_k(M, k), if N is E; and the
-    transposed Hom(N^v, M^v), read (never written) through
-    `module.memo_lookup` when the memo holds it.  On such a span
-    `linalg.span_with_support` gives the constraint kernel's bytes.
+    transposed Hom(N^v, M^v) when its key pair is the smaller one, so
+    of each dual pair only the larger solves, and a self-dual pair
+    solves directly.  On such a span `linalg.span_with_support` gives
+    the constraint kernel's bytes.
     """
     if m.ring.key != n.ring.key:
         raise RingMismatch("functor arguments live over different rings")
     ring = m.ring
     p = ring.p
     nm, nn = m.dim, n.dim
-    span = dual = None
+    span = None
     # over one ring, action bytes equal to R's (E's) make M = R (N = E)
     if m.key[2] == ring.mult.tobytes():
         span = n.action.transpose(1, 0, 2).reshape(nn * nm, nn)
     elif n.key[2] == ring.mult.transpose(0, 2, 1).tobytes():
         span = m.action.transpose(0, 2, 1).reshape(nn * nm, nm)
-    else:  # the memo's key is the undecorated body, not its bound name
-        dual = memo_lookup(_hom_body, matlis_dual(n), matlis_dual(m))
-    if dual is not None:
-        h = dual.module.dim
-        span = dual.basis.reshape(nm, nn, h).swapaxes(0, 1).reshape(nn * nm, h)
+    else:
+        nd, md = matlis_dual(n), matlis_dual(m)
+        if (nd.key, md.key) < (m.key, n.key):
+            dual = hom_module(nd, md)
+            h = dual.module.dim
+            span = dual.basis.reshape(nm, nn, h).swapaxes(0, 1).reshape(
+                nn * nm, h)
     if span is not None:
         basis, support = linalg.span_with_support(span, p)
     else:
@@ -117,9 +119,6 @@ def hom_module(m, n):
         ring.dim, nn * nm, h)[:, support, :]
     module = Module(ring, h, action, check=False)
     return HomData(module, basis, tuple(support))
-
-
-_hom_body = hom_module.__wrapped__
 
 
 @memoized

@@ -31,8 +31,9 @@ degree of F_* (x) N at a time, resolving M only as far as asked.  A
 minimal d_i has its entries in m, so tau_i = d_i (x) N is ranked on the
 block of N's action whose rows and columns some radical action of N
 touches, read off `module._radical_actions` with no elimination at the
-first degree the loop ranks, so a pair answered in closed form never
-reads it; Tor against k^a ranks nothing.  Ext comes from the loop through
+first degree past the closed forms, so a pair they answer never reads
+it; Tor against k^a ranks nothing, and `qdual resolve` prints it as
+b_i = dim Tor_i(M, k) / r.  Ext comes from the loop through
 Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
 dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
 transpose of the F_* (x) N^v one, so the ranks agree.
@@ -156,19 +157,20 @@ def _differential(module, i):
 def _tor_loop(m, n):
     """Yield dim Tor_i(M, N) = dim C_i - rank tau_i - rank tau_{i+1} for
     i = 0, 1, 2, ..., where C_* = F_* (x) N for F_* resolving M and
-    tau_i: C_i -> C_{i-1}.  Degree i reads d_{i+1}, resolving M one
-    degree further only when it is asked for.
+    tau_i: C_i -> C_{i-1}.  Degree i reads d_{i+1} only to rank
+    tau_{i+1}, and b_{i+1} once it is yielded, so degrees 0..L of Tor
+    against k^a read d_0..d_L alone.
 
     For i >= 1 the minimal d_i has its entries in m, so each entry of
     tau_i is zero on the rows where every radical action of N is zero
     (mN lies in the others) and on the columns where every one is zero
     (their unit vectors lie in soc N): tau_i has the rank of N's action
     on the remaining rows and columns, read off the stack with no
-    elimination.  The block is read at the first degree ranked, after
-    d_i is in hand, so a pair answered by the head or the closed form
-    below never builds it.  When mN = 0, that is N = k^a, the block is
-    empty and nothing is ranked.  When M or N is free, nothing past d_0
-    is resolved or ranked.
+    elimination.  The block is read at the first degree past the head
+    and the closed form below, so a pair they answer never builds it.
+    When mN = 0, that is N = k^a, the block is empty and nothing is
+    ranked.  When M or N is free, nothing past d_0 is resolved or
+    ranked.
 
     When m^2 = 0 the loop tracks omega = dim Omega^j, with Omega^0 = M
     and dim Omega^j = b_{j-1} . dim R - dim Omega^{j-1}, and hands off
@@ -202,15 +204,14 @@ def _tor_loop(m, n):
             while True:
                 yield term
                 term *= d // r - 1
-        diff = _differential(m, i)
         if block is None:
-            # N's block, read at the first degree that is ranked
+            # N's block, read at the first degree past the closed forms
             acts = _radical_actions(n)
             rows, cols = acts.any(axis=(0, 2)), acts.any(axis=(0, 1))
             block = n.action[:, rows][:, :, cols]
         rank = 0
         if block.size:
-            blocks = _generator_ring_blocks(diff, ring)
+            blocks = _generator_ring_blocks(_differential(m, i), ring)
             # block (c, j) of tau_i is sum_r blocks[c, j, r] A_r
             mat = np.einsum("cjr,rab->cajb", blocks, block) % p
             # einsum output is not C-ordered, so the reshape copies;
@@ -222,7 +223,7 @@ def _tor_loop(m, n):
         yield width * n.dim - before - rank
         before = rank
         omega = width * d - omega
-        width = diff.shape[1] // d
+        width = _differential(m, i).shape[1] // d
 
 
 def tor_degrees(m, n):

@@ -17,7 +17,7 @@ stores once, at construction: the dict held by the `memo` context
 variable, swapped fresh by `memo_scope` and emptied by
 `clear_resolution_cache`.  Its one rule: a value is keyed by the
 function that built it and its arguments' bytes.  The `memoized`
-decorator is the one path that writes it; `memo_lookup` only reads it.
+decorator is the one path that reads and writes it.
 """
 
 from __future__ import annotations
@@ -62,16 +62,6 @@ def clear_resolution_cache():
     memo.get().clear()
 
 
-def _memo_key(build, args):
-    return (build, *[a.key if isinstance(a, Module) else a for a in args])
-
-
-def memo_lookup(build, *args):
-    """The value `memoized(build)` stored for args in the current memo,
-    or None if it holds none; the memo is left as it is."""
-    return memo.get().get(_memo_key(build, args))
-
-
 def memoized(build):
     """Wrap build(*args) so that it runs once per (build, args with each
     Module replaced by its key) in the current memo; every caller gets
@@ -79,7 +69,7 @@ def memoized(build):
 
     @functools.wraps(build)
     def wrapper(*args):
-        key = _memo_key(build, args)
+        key = (build, *[a.key if isinstance(a, Module) else a for a in args])
         facts = memo.get()
         if key not in facts:
             facts[key] = build(*args)

@@ -133,6 +133,12 @@ def test_resolve_betti():
     code, out, _ = run_cli(["resolve", "--ring", "corpus:r5", "-l", "4", "k"])
     assert code == 0
     assert out.strip() == "betti 1 2 4 8 16"
+    # b_i = dim Tor_i(k, k) = 2^i in closed form over r5 (m^2 = 0):
+    # nothing past d_1 is resolved, so degree 40 is within the budget
+    code, out, err = run_cli(["resolve", "--ring", "corpus:r5", "-l", "40",
+                              "k"])
+    assert (code, err) == (0, "")
+    assert out == "betti %s\n" % " ".join(str(2 ** i) for i in range(41))
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,35 +157,46 @@ def test_free_or_injective_argument_runs_3000_degrees(argv):
     assert run.stdout.split()[1:] == ["1"] + ["0"] * 3000
 
 
-def test_resolution_over_the_cell_budget_is_refused():
-    # Betti numbers of k over r5 double, so degree 11 would make the
-    # ring act on a 3072-column kernel basis: refused from d_10's shape
+def test_resolution_over_the_cell_budget_is_refused(tmp_path):
+    # over F_2[x,y]/(x^2, xy, y^3), basis 1, x, y, y^2, which is not
+    # m^2 = 0, Betti numbers of k double, so degree 11 would make the
+    # ring act on a 4096-column kernel basis: refused from d_10's shape
     # before it allocates, on one stderr line and with exit code 2
-    run = run_fresh(["resolve", "--ring", "corpus:r5", "-l", "40", "k"])
+    path = tmp_path / "rxy3.ring"
+    path.write_text(ring_text("rxy3", 2, 4, {(2, 2): [0, 0, 0, 1]}))
+    run = run_fresh(["resolve", "--ring", str(path), "-l", "10", "k"])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "betti %s\n" % " ".join(str(2 ** i)
+                                                 for i in range(11))
+    run = run_fresh(["resolve", "--ring", str(path), "-l", "40", "k"])
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == (
-        "error: resolution degree 11 acts on the kernel of the 1536x3072 "
-        "d_10: 28311552 cells, over the budget of 16777216\n")
+        "error: resolution degree 11 acts on the kernel of the 2048x4096 "
+        "d_10: 67108864 cells, over the budget of 16777216\n")
 
 
-def test_ext_and_tor_stop_at_the_int_digit_limit(tmp_path):
-    # over F_2[x_1..x_9]/m^2, dim Ext^i(k, k) = dim Tor_i(k, k) = 9^i;
-    # the first degree with more digits than Python prints is refused
-    # on one stderr line, whatever degree was asked for
+def test_ext_tor_and_resolve_stop_at_the_int_digit_limit(tmp_path):
+    # over F_2[x_1..x_9]/m^2, dim Ext^i(k, k) = dim Tor_i(k, k) = b_i(k)
+    # = 9^i; the first degree with more digits than Python prints is
+    # refused on one stderr line, whatever degree was asked for
     path = tmp_path / "sz9.ring"
     path.write_text(ring_text("sz9", 2, 10, {}))
     limit = sys.int_info.str_digits_check_threshold
     top = next(i for i in itertools.count() if len(str(9 ** i)) > limit)
-    dims = "dims " + " ".join(str(9 ** i) for i in range(top)) + "\n"
+    nines = " ".join(str(9 ** i) for i in range(top)) + "\n"
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        for command, label in (("ext", "Ext^"), ("tor", "Tor_")):
-            argv = [command, "--ring", str(path), "-i"]
-            assert run_cli(argv + [str(top - 1), "k", "k"]) == (0, dims, "")
+        for command, option, args, word, label in (
+                ("ext", "-i", ["k", "k"], "dims", "dim Ext^"),
+                ("tor", "-i", ["k", "k"], "dims", "dim Tor_"),
+                ("resolve", "-l", ["k"], "betti", "b_")):
+            argv = [command, "--ring", str(path), option]
+            assert run_cli(argv + [str(top - 1)] + args) == (
+                0, word + " " + nines, "")
             for degree in (top, 10 ** 6):
-                assert run_cli(argv + [str(degree), "k", "k"]) == (
-                    2, "", "error: dim %s%d has more than %d digits\n"
+                assert run_cli(argv + [str(degree)] + args) == (
+                    2, "", "error: %s%d has more than %d digits\n"
                     % (label, top, limit))
     finally:
         sys.set_int_max_str_digits(old)
@@ -383,6 +400,19 @@ def test_readme_lists_the_suites_in_table_order():
     names = ["`%s`" % suite for suite in cli.SUITES]
     listed = "%s and %s." % (", ".join(names[:-1]), names[-1])
     assert listed in " ".join(text.split())
+
+
+def test_readme_command_examples_print_their_comments():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    examples = [line.split("#", 1) for line in block.splitlines()
+                if "#" in line]
+    assert len(examples) == 2
+    for command, comment in examples:
+        argv = command.split()
+        assert argv[0] == "qdual"
+        assert run_cli(argv[1:]) == (0, comment.strip() + "\n", "")
 
 
 # the whole `classify` stdout of k in both roles, recorded before Ext

@@ -345,19 +345,22 @@ def test_memo_builds_each_functor_once_per_scope(monkeypatch):
     e, k = injective_hull(ring), builtin_module(ring, "k")
     builds = _hom_builds(monkeypatch)
     with module.memo_scope():
+        # Hom(E, k) is read off its Matlis dual partner Hom(k^v, E^v) =
+        # Hom(k, R), whose key pair is the smaller: two builds
         hom = hom_module(e, k)
         assert hom_module(_renamed(e, "E2"), _renamed(k, "k2")) is hom
-        assert len(builds) == 1
+        assert len(builds) == 2
+        # the tensor's own Hom(k, E^v) is that Hom(k, R): E^v has R's bytes
         tens = tensor_module(e, k)
         assert tensor_module(_renamed(e, "E2"), _renamed(k, "k2")) is tens
-        assert len(builds) == 2
-        # the tensor's own Hom(k, E^v) serves Hom(k, R): E^v has R's bytes
         hom_module(k, regular_module(ring))
+        assert len(builds) == 2
         biduality_map(e, k)                     # Hom(E, k) is cached
-        assert len(builds) == 3                 # one more: Hom(Hom(E,k),k)
+        # two more: Hom(Hom(E, k), k), read off Hom(k, Hom(E, k)^v)
+        assert len(builds) == 4
     with module.memo_scope():                 # a new scope rebuilds
         assert hom_module(e, k) is not hom
-        assert len(builds) == 4
+        assert len(builds) == 6
 
 
 def _assert_same_arrays(got, want):
@@ -476,6 +479,33 @@ def test_hom_matches_the_constraint_kernel(monkeypatch, ring):
             for mine, theirs in ((got.basis, basis),
                                  (got.module.action, want.action)):
                 _assert_same_arrays(mine, theirs)
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r3", "r4", "r5", "r6")],
+                         ids=lambda r: r.name)
+def test_each_matlis_dual_pair_of_homs_solves_once(monkeypatch, ring):
+    # of Hom(M, N) and Hom(N^v, M^v) the one with the larger key pair is
+    # always the one read off the other, so in either order the pair
+    # makes one solve (none out of R or into E) and the kernel's bytes
+    mods = [builtin_module(ring, name) for name in ("R", "E", "k", "0")]
+    mods += sample_modules(ring, 3, 13, max_dim=6)
+    solves = _constraint_solves(monkeypatch)
+    for m, n in itertools.product(mods, repeat=2):
+        pair = ((m, n), (matlis_dual(n), matlis_dual(m)))
+        wants = [reference_hom(*args) for args in pair]
+        read_off = (np.array_equal(m.action, ring.mult)
+                    or np.array_equal(n.action, ring.mult.transpose(0, 2, 1)))
+        for order in ((0, 1), (1, 0)):
+            solves.clear()
+            with module.memo_scope():
+                gots = {j: hom_module(*pair[j]) for j in order}
+            assert len(solves) == (0 if read_off else 1)
+            for j, (want, basis, support) in enumerate(wants):
+                assert gots[j].module.key == want.key
+                assert gots[j].support == support
+                _assert_same_arrays(gots[j].basis, basis)
+                _assert_same_arrays(gots[j].module.action, want.action)
 
 
 def test_run_verify_solves_constraints_for_few_homs(monkeypatch):
