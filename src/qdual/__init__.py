@@ -15,7 +15,7 @@ from .classes import (CheckReport, DEFAULT_BOUND, check_artinian_collapse,
 from .corpus import builtin_module, corpus_ring
 from .errors import (InvalidModuleMap, ModuleValidationError,
                      NotQuasidualizing, NotSubmodule, ParseError, QdualError,
-                     ResolutionTooLarge, RingMismatch, RingValidationError,
+                     RingMismatch, RingValidationError, TooLarge,
                      UnknownRing)
 from .fileformat import (parse_module, parse_ring, serialize_module,
                          serialize_ring)
@@ -37,9 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport", "DEFAULT_BOUND", "FreeResolution", "InvalidModuleMap",
     "Module", "ModuleMap", "ModuleValidationError", "NotQuasidualizing",
-    "NotSubmodule", "ParseError", "QdualError", "ResolutionTooLarge",
-    "Ring", "RingMismatch", "RingValidationError", "ShortExactSequence",
-    "UnknownRing",
+    "NotSubmodule", "ParseError", "QdualError", "Ring", "RingMismatch",
+    "RingValidationError", "ShortExactSequence", "TooLarge", "UnknownRing",
     "biduality_map", "builtin_module", "check_artinian_collapse",
     "check_class_equality", "check_duality_swap", "check_hom_faithful",
     "check_theorem_B", "check_two_of_three", "clear_resolution_cache",

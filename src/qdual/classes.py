@@ -11,17 +11,14 @@ condition's line from its own suite table.
 Every vanishing is one of Tor_i(M, N): an Ext^i(M, N) condition is
 checked as Tor_i(M, N^v), which has the same dimension.  Each
 vanishing is checked one degree at a time (`homology.tor_degrees`), so
-each degree is ranked once and the first nonzero degree ends the check;
-a vanishing that structure forces (M or N is free) is answered by the
-loop's head, which resolves nothing past the augmentations.  Over an
-m^2 = 0 ring the loop answers every degree past the first syzygy that
-m kills (Omega^1 M, or M when mM = 0) in closed form, exact in every
-degree, with nothing resolved past d_1 of M.  Each
-predicate's conditions come from a body (`_dualizing`,
-`_derived_reflexive`, `_bass`, `_auslander`) that returns them as an
-immutable tuple of (label, verdict, witness) string triples and is
-wrapped by `module.memoized`, so the semidualizing and quasidualizing
-predicates and same-bytes modules under other names share one entry.
+each degree is ranked once and the first nonzero degree ends the check,
+and a closed form in `homology.CERTIFICATES` (M or N free, or an
+m^2 = 0 ring) answers the degrees it covers.  Each predicate's
+conditions come from a body (`_dualizing`, `_derived_reflexive`,
+`_bass`, `_auslander`) that returns them as an immutable tuple of
+(label, verdict, witness) string triples and is wrapped by
+`module.memoized`, so the semidualizing and quasidualizing predicates
+and same-bytes modules under other names share one entry.
 Names play no part: each predicate wraps the tuple in a fresh
 CheckReport, so a predicate's report depends only on module bytes and
 the bound.
@@ -81,7 +78,8 @@ def _vanishing(label, name, m, n, bound):
     """One condition: Tor_i(M, N) = 0 for 1 <= i <= B; `name` formats
     the failing degree, as "Tor_%d", or "Ext^%d" when N is the dual of
     the Ext target.  Each degree is ranked once, the first nonzero one
-    ends the loop, and a forced pair ranks none (`homology._tor_loop`)."""
+    ends the loop, and a pair that a certificate answers at degree 0
+    ranks none (`homology.CERTIFICATES`)."""
     for i, d in enumerate(itertools.islice(tor_degrees(m, n), 1, bound + 1),
                           start=1):
         if d:

@@ -3,9 +3,9 @@
 Exit codes: 0 = every check passed (VACUOUS does not fail); 1 = at
 least one FAIL, or a `QdualError`: input that parses but breaks a ring
 or module law, or a parameter module T that fails its quasidualizing
-hypothesis; 2 = usage or parse errors, a resolution degree over
-the cell budget `homology.MAX_RESOLUTION_CELLS`, or a Betti number,
-Ext or Tor dimension with more digits than
+hypothesis; 2 = usage or parse errors, a resolution degree or a Hom
+constraint over the cell budget `linalg.MAX_CELLS` (`TooLarge`), or a
+Betti number, Ext or Tor dimension with more digits than
 `sys.get_int_max_str_digits()` allows.  Output is deterministic for
 fixed inputs and seed: report lines go to stdout, diagnostics to
 stderr.
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import classes, homology
 from .corpus import VALID_NAMES, builtin_module, corpus_ring
-from .errors import (ParseError, QdualError, ResolutionTooLarge,
-                     RingValidationError, UnknownRing)
+from .errors import (ParseError, QdualError, RingValidationError,
+                     TooLarge, UnknownRing)
 from .fileformat import parse_module, parse_ring, serialize_module
 from .functors import hom_module, injective_hull, matlis_dual, tensor_module
 from .module import (free_module, memo_scope, regular_module,
@@ -307,7 +307,7 @@ def main(argv=None):
     except RingValidationError as exc:
         print("invalid ring (%s): %s" % (exc.law, exc), file=sys.stderr)
         return 1
-    except (UnknownRing, ResolutionTooLarge, OSError) as exc:
+    except (UnknownRing, TooLarge, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except QdualError as exc:

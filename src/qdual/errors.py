@@ -64,10 +64,11 @@ class NotQuasidualizing(QdualError):
     quasidualizing hypothesis."""
 
 
-class ResolutionTooLarge(QdualError):
-    """A resolution degree would make the ring act on more cells than
-    `homology.MAX_RESOLUTION_CELLS`; the message names the degree and
-    the shape of the differential it would be built from."""
+class TooLarge(QdualError):
+    """A resolution degree or a Hom constraint would have more cells
+    than `linalg.MAX_CELLS`; the message names the degree and the shape
+    of the differential it would be built from, or the dims of both
+    modules."""
 
 
 class ParseError(QdualError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import RingMismatch
+from .errors import RingMismatch, TooLarge
 from .module import Module, ModuleMap, memoized, regular_module
 
 
@@ -84,7 +84,8 @@ def hom_module(m, n):
     transposed Hom(N^v, M^v) when its key pair is the smaller one, so
     of each dual pair only the larger solves, and a self-dual pair
     solves directly.  On such a span `linalg.span_with_support` gives
-    the constraint kernel's bytes.
+    the constraint kernel's bytes.  A solve of dim R . (dim M . dim N)^2
+    cells over `linalg.MAX_CELLS` raises TooLarge before it allocates.
     """
     if m.ring.key != n.ring.key:
         raise RingMismatch("functor arguments live over different rings")
@@ -106,6 +107,10 @@ def hom_module(m, n):
                 nn * nm, h)
     if span is not None:
         basis, support = linalg.span_with_support(span, p)
+    elif ring.dim * (nn * nm) ** 2 > linalg.MAX_CELLS:
+        raise TooLarge("Hom from dim %d to dim %d: %d constraint cells, over "
+                       "the budget of %d" % (nm, nn, ring.dim * (nn * nm) ** 2,
+                                             linalg.MAX_CELLS))
     else:
         # vec(X A_i) - vec(B_i X) = 0, row-major vec: entry (i, a, b, c, e)
         # is delta_ac A_i[e, b] - B_i[a, c] delta_be

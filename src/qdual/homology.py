@@ -6,84 +6,53 @@ Free modules R^b keep the coordinates of `module.free_module`, and
 kron(I_b, mult[i]).  Differentials are stored as field matrices
 between those coordinates; the ring-coordinate block of column
 (generator j) recovers the ring element acting on copy c as
-v[c*d:(c+1)*d].  Each resolution degree is one `free_action`: over
-m^2 = 0 with residue field F_p, degree i >= 2 is copies of d_1(k),
-with no elimination; any other degree acts on the basis of one
-canonical kernel (`linalg.canon_kernel`), with one to three `rref`
-calls: the kernel; then, unless m^2 = 0 with residue field F_p, where
-a minimal syzygy is killed by m and every kernel vector is a minimal
-generator, a canonical basis of the syzygy's radical; and, over a
-residue field larger than F_p, one elimination picking the generators.
-A zero kernel takes the same count, on empty matrices.
+v[c*d:(c+1)*d].  Each resolution degree is one `free_action` and, but
+for the copies of d_1(k) that `_differential` builds over m^2 = 0, one
+canonical kernel (`linalg.canon_kernel`) with one to three `rref`
+calls: the kernel; then, unless m^2 = 0 with residue field F_p, a
+canonical basis of the syzygy's radical; and, over a residue field
+larger than F_p, one elimination picking the generators.  A zero
+kernel takes the same count, on empty matrices.
 
 A resolution is one memo entry per degree, never changed after it is
 stored: `_differential(M, i)`, which `module.memoized` wraps, returns
 the read-only matrix of d_i, and d_0 is the augmentation onto M.  It
 lives in the run-scoped memo (`module.memo`) beside Hom, tensor and
-verdict data.  Outside a run the memo is one process-level dict,
-emptied by `clear_resolution_cache`; `cli.run_verify` runs inside
-`module.memo_scope`, which swaps in a fresh dict, so nothing a run
-computes outlives it.  qdual is single-threaded, so the memo takes no
-lock.
+verdict data; qdual is single-threaded, so the memo takes no lock.
 
 There is one derived-functor loop, `tor_degrees`, which yields one
-degree of F_* (x) N at a time, resolving M only as far as asked.  A
-minimal d_i has its entries in m, so tau_i = d_i (x) N is ranked on the
-block of N's action whose rows and columns some radical action of N
-touches, read off `module._radical_actions` with no elimination at the
-first degree past the closed forms, so a pair they answer never reads
-it; Tor against k^a ranks nothing, and `qdual resolve` prints it as
+degree of F_* (x) N at a time, resolving M only as far as asked and
+ranking tau_i = d_i (x) N on a block of N's action (`_tor_loop`); Tor
+against k^a ranks nothing, and `qdual resolve` prints it as
 b_i = dim Tor_i(M, k) / r.  Ext comes from the loop through
 Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
 dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
 transpose of the F_* (x) N^v one, so the ranks agree.
 
-The loop's head answers a pair that structure forces: M or N is free,
-which over a local ring is dim X = b_0 . dim R, read off the memoized
-augmentation.  Then Tor_i(M, N) = 0 for i >= 1, degree 0 is a closed
-form, and nothing past d_0 is resolved.  Read for Ext, with N^v in
-place of N, the rule is that M is free or N is injective (N = E^s
-exactly when N^v = R^s).  Suites, library calls and the CLI share it.
-
-When m^2 = 0 (`Ring.square_zero`) the loop also answers every other
-pair in closed form past the first syzygy that m kills, Omega^j M with
-j <= 1: Tor_{j+t}(M, N) = dim Omega^j M . beta_1(N) . e^{t-1} for
-t >= 1, where e = dim m / r and beta_1(N) = (b_0(N) . dim R - dim N)/r
-(Poincare series 1/(1 - e t); Avramov, "Infinite free resolutions",
-1998).  Nothing past d_1 of M and d_0 of N is resolved, at most tau_1
-is ranked, and each dimension is a Python int, exact at any degree.
-
-A degree that would make the ring act on more than
-`MAX_RESOLUTION_CELLS` cells is refused from the shape of the degree
-before it, with `ResolutionTooLarge`, before anything is allocated.
+Before the loop resolves or ranks anything at a degree, it asks the
+closed forms in `CERTIFICATES` (M or N free; m^2 = 0) for that degree
+and every later one; each states its formula in its docstring.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ResolutionTooLarge, RingMismatch
+from .errors import RingMismatch, TooLarge
 from .functors import matlis_dual
 from .module import (Module, _generator_ring_blocks, _radical_actions,
-                     free_action, generator_images, memoized,
-                     minimal_generators)
-
-# a resolution degree i makes the ring act on a kernel basis of
-# d_{i-1}: at most dim R . cols^2 cells for d_{i-1} with cols = b d
-# columns, the largest array the degree builds (copies of d_1(k) fill
-# d^2 e b^2 of them, with e < d).  A degree over this budget is refused
-# from the shape alone, before anything is allocated.
-MAX_RESOLUTION_CELLS = 1 << 24
+                     diagonal_copies, free_action, generator_images,
+                     memoized, minimal_generators)
 
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """Prefix of a minimal free resolution: one memo entry per degree,
-    never changed after it is stored.
+    """Prefix of a minimal free resolution.
 
     betti and diffs have length B+1; diffs[0] is the augmentation
     R^{betti[0]} -> M, and diffs[i] for i >= 1 the field matrix of
@@ -113,51 +82,93 @@ def _differential(module, i):
     Omega^0 = M: d_0 is the augmentation onto `module`.  Degree i
     reads degree i-1 through the memo; every caller asks for degrees in
     increasing order, so the recursion is never more than one level
-    deep.  Raises ResolutionTooLarge, naming the degree and the shape
-    of d_{i-1}, when that shape puts degree i over
-    MAX_RESOLUTION_CELLS.  Over m^2 = 0 with residue field F_p,
+    deep.  Raises TooLarge, naming the degree and the shape of d_{i-1},
+    when that shape puts degree i over `linalg.MAX_CELLS`: it acts on a
+    kernel basis of d_{i-1}, at most dim R . cols^2 cells for cols = b d
+    columns, the largest array the degree builds (copies of d_1(k) fill
+    d^2 e b^2, with e < d).  Over m^2 = 0 with residue field F_p,
     Omega^i lies in m F_{i-1}, which m kills: for i >= 1 every kernel
     vector is a generator, and for i >= 2 the kernel of d_{i-1} (rank
     b_{i-1} = dim Omega^{i-1}) is m F_{i-1}, with canonical basis
     kron(I_b, radical), so d_i is b diagonal copies of d_1(k)."""
     ring = module.ring
+    square_zero = ring.square_zero and ring.residue_degree == 1
     if i == 0:
-        images, gens = module.action, minimal_generators(module)
+        dmat = generator_images(
+            module.action[:, :, minimal_generators(module)])
     else:
         prev = _differential(module, i - 1)
         rows, cols = prev.shape
-        if ring.dim * cols * cols > MAX_RESOLUTION_CELLS:
-            raise ResolutionTooLarge(
+        if ring.dim * cols * cols > linalg.MAX_CELLS:
+            raise TooLarge(
                 "resolution degree %d acts on the kernel of the %dx%d "
                 "d_%d: %d cells, over the budget of %d"
                 % (i, rows, cols, i - 1, ring.dim * cols * cols,
-                   MAX_RESOLUTION_CELLS))
-        if i >= 2 and ring.square_zero and ring.residue_degree == 1:
-            # b copies of d_1(k) in the diagonal blocks of (b, d, b, e d)
-            block = generator_images(free_action(ring, ring.radical))
-            b = cols // ring.dim
-            dmat = np.zeros((b, ring.dim, b, block.shape[1]), dtype=np.int64)
-            dmat[np.arange(b), :, np.arange(b)] = block
-            dmat = dmat.reshape(cols, b * block.shape[1])
-            dmat.setflags(write=False)
-            return dmat
-        basis, pivots = linalg.canon_kernel(prev, ring.p)
-        # the ring acts on the kernel basis once: the syzygy module in
-        # K-coordinates reads the pivot rows, and d_i the columns at the
-        # coordinates of its minimal generators
-        images, gens = free_action(ring, basis), slice(None)
-        if not (ring.square_zero and ring.residue_degree == 1):
-            gens = minimal_generators(Module(
-                ring, basis.shape[1], images[:, pivots, :], check=False))
-    dmat = generator_images(images[:, :, gens])
+                   linalg.MAX_CELLS))
+        if i >= 2 and square_zero:
+            dmat = diagonal_copies(
+                generator_images(free_action(ring, ring.radical)),
+                cols // ring.dim)
+        else:
+            basis, pivots = linalg.canon_kernel(prev, ring.p)
+            # the ring acts on the kernel basis once: the syzygy module
+            # in K-coordinates reads the pivot rows, and d_i the columns
+            # at the coordinates of its minimal generators
+            images, gens = free_action(ring, basis), slice(None)
+            if not square_zero:
+                gens = minimal_generators(Module(
+                    ring, basis.shape[1], images[:, pivots, :], check=False))
+            dmat = generator_images(images[:, :, gens])
     dmat.setflags(write=False)
     return dmat
+
+
+def _free_tail(m, n, j, b, rank):
+    """Every degree from 0 when M or N is free, which over a local ring
+    is dim X = b_0 . dim R, read off the memoized augmentation: M = R^a
+    gives M (x) N = N^a, so in either case dim Tor_0 = dim M . dim N /
+    dim R, and Tor_i = 0 for i >= 1.  Nothing past d_0 is resolved.
+    Read for Ext, with N^v in place of N, the rule is that M is free or
+    N is injective (N = E^s exactly when N^v = R^s)."""
+    d = m.ring.dim
+    if j or (m.dim != b * d and n.dim != _differential(n, 0).shape[1]):
+        return None
+    return itertools.chain((m.dim * n.dim // d,), itertools.repeat(0))
+
+
+def _square_zero_tail(m, n, j, b, rank):
+    """Every degree from j over an m^2 = 0 ring (`Ring.square_zero`)
+    once m kills Omega^j M: at j = 0 when mM = 0, and at any j >= 1,
+    since a minimal Omega^j lies in m F_{j-1}.  Then Omega^j = k^{b_j},
+    so with r the residue degree, e = dim m / r and rho = rank tau_j,
+    Tor_j = b_j . r . b_0(N) - rho and Tor_{j+t} = b_j . r . beta_t(N)
+    for t >= 1, where beta_t(N) = beta_1(N) . e^{t-1} and beta_1(N) =
+    (b_0(N) . dim R - dim N) / r (Omega^1 N = k^{beta_1}, and
+    beta_s(k) = e^s: Poincare series 1/(1 - e t); Avramov, "Infinite
+    free resolutions", 1998).  Nothing past d_1 of M and d_0 of N is
+    resolved, and every dimension is a Python int, exact at any
+    degree."""
+    d, r = m.ring.dim, m.ring.residue_degree
+    if not m.ring.square_zero or (j == 0 and m.dim != b * r):
+        return None
+    top = _differential(n, 0).shape[1] // d
+    # b_j . r . beta_1(N) = b_j . dim Omega^1 N
+    return itertools.chain((b * r * top - rank,), itertools.accumulate(
+        itertools.repeat(d // r - 1), operator.mul,
+        initial=b * (top * d - n.dim)))
+
+
+# asked in order at each degree j of `_tor_loop` with (M, N, j, b_j,
+# rank tau_j); each returns None or the iterator Tor_j, Tor_{j+1}, ...
+CERTIFICATES = (_free_tail, _square_zero_tail)
 
 
 def _tor_loop(m, n):
     """Yield dim Tor_i(M, N) = dim C_i - rank tau_i - rank tau_{i+1} for
     i = 0, 1, 2, ..., where C_* = F_* (x) N for F_* resolving M and
-    tau_i: C_i -> C_{i-1}.  Degree i reads d_{i+1} only to rank
+    tau_i: C_i -> C_{i-1}, until the first of `CERTIFICATES` that
+    answers at degree i, asked before degree i resolves or ranks
+    anything, yields the rest.  Degree i reads d_{i+1} only to rank
     tau_{i+1}, and b_{i+1} once it is yielded, so degrees 0..L of Tor
     against k^a read d_0..d_L alone.
 
@@ -166,64 +177,39 @@ def _tor_loop(m, n):
     (mN lies in the others) and on the columns where every one is zero
     (their unit vectors lie in soc N): tau_i has the rank of N's action
     on the remaining rows and columns, read off the stack with no
-    elimination.  The block is read at the first degree past the head
-    and the closed form below, so a pair they answer never builds it.
-    When mN = 0, that is N = k^a, the block is empty and nothing is
-    ranked.  When M or N is free, nothing past d_0 is resolved or
-    ranked.
-
-    When m^2 = 0 the loop tracks omega = dim Omega^j, with Omega^0 = M
-    and dim Omega^j = b_{j-1} . dim R - dim Omega^{j-1}, and hands off
-    at the first j where m kills Omega^j, that is dim Omega^j =
-    b_j . r for r the residue degree: j = 0 when mM = 0, else j = 1,
-    since a minimal Omega^1 lies in m F_0.  Then Omega^j = k^{omega/r},
-    so with rho = rank tau_j (0 when j = 0) and e = dim m / r,
-    Tor_j = omega . b_0(N) - rho and Tor_{j+t} = omega . beta_t(N) for
-    t >= 1, where beta_t(N) = beta_1(N) . e^{t-1} (Omega^1 N = k^{beta_1}
-    and beta_s(k) = e^s: Avramov, "Infinite free resolutions", 1998).
-    Nothing past d_1(M) and d_0(N) is resolved, at most tau_1 is
-    ranked, and every dimension is a Python int, exact in any degree."""
+    elimination.  The block is read at the first degree that no
+    certificate answers, so a pair answered at degree 0 never builds
+    it.  When mN = 0, that is N = k^a, the block is empty and nothing
+    is ranked."""
     ring = m.ring
-    p, d, r = ring.p, ring.dim, ring.residue_degree
-    # b_{i-1}, the width of d_{i-1} over dim R
-    width = _differential(m, 0).shape[1] // d
-    if m.dim == width * d or n.dim == _differential(n, 0).shape[1]:
-        # M or N is free: M = R^a gives M (x) N = N^a, so in either
-        # case dim Tor_0 = dim M . dim N / dim R
-        yield m.dim * n.dim // d
-        yield from itertools.repeat(0)
+    p, d = ring.p, ring.dim
+    # b_i, the width of d_i over dim R, and rank tau_i
+    width, before = _differential(m, 0).shape[1] // d, 0
     block = None
-    before = 0
-    omega = m.dim
-    for i in itertools.count(1):
-        if ring.square_zero and omega == width * r:
-            # m kills Omega^{i-1} = k^{omega/r}
-            top = _differential(n, 0).shape[1] // d
-            yield omega * top - before
-            term = omega * ((top * d - n.dim) // r)
-            while True:
-                yield term
-                term *= d // r - 1
+    for i in itertools.count():
+        for certificate in CERTIFICATES:
+            tail = certificate(m, n, i, width, before)
+            if tail is not None:
+                yield from tail
+                return
         if block is None:
-            # N's block, read at the first degree past the closed forms
             acts = _radical_actions(n)
             rows, cols = acts.any(axis=(0, 2)), acts.any(axis=(0, 1))
             block = n.action[:, rows][:, :, cols]
         rank = 0
         if block.size:
-            blocks = _generator_ring_blocks(_differential(m, i), ring)
-            # block (c, j) of tau_i is sum_r blocks[c, j, r] A_r
+            blocks = _generator_ring_blocks(_differential(m, i + 1), ring)
+            # block (c, j) of tau_{i+1} is sum_r blocks[c, j, r] A_r
             mat = np.einsum("cjr,rab->cajb", blocks, block) % p
             # einsum output is not C-ordered, so the reshape copies;
             # rebinding frees the 4-D array before the elimination
             shape = mat.shape
             mat = mat.reshape(shape[0] * shape[1], shape[2] * shape[3])
             rank = linalg.rank(mat, p)
-        # dim C_{i-1} = b_{i-1} . dim N
+        # dim C_i = b_i . dim N
         yield width * n.dim - before - rank
         before = rank
-        omega = width * d - omega
-        width = _differential(m, i).shape[1] // d
+        width = _differential(m, i + 1).shape[1] // d
 
 
 def tor_degrees(m, n):

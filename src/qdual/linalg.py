@@ -32,6 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 MAX_PRIME = 1 << 16
+# the most cells a resolution degree or a Hom constraint may build
+MAX_CELLS = 1 << 24
 
 
 def as_fp(a, p):

@@ -8,7 +8,7 @@ resolutions) is linear algebra on these matrices.  The zero module
 and for rings over themselves; it, `_quotient` and `ModuleMap` name
 the first failing basis element with `linalg.first_mismatch`.  Every
 quotient and sequence comes from `_quotient`, and only `free_module`,
-`free_action`, `generator_images` and its inverse
+`free_action`, `diagonal_copies`, `generator_images` and its inverse
 `_generator_ring_blocks`, which reads a differential back as ring
 elements, know the coordinate layout of a free module R^b.
 
@@ -286,6 +286,15 @@ def generator_images(images):
     V, from the stack images[i] = e_i V: column j*d + i is e_i V[:, j]."""
     d, n, s = images.shape
     return images.transpose(1, 2, 0).reshape(n, s * d)
+
+
+def diagonal_copies(diff, b):
+    """Field matrix of b copies of a differential R^s -> R^t, copy c
+    from generators c s .. c s + s - 1 into copy c of R^t."""
+    rows, cols = diff.shape
+    out = np.zeros((b, rows, b, cols), dtype=np.int64)
+    out[np.arange(b), :, np.arange(b)] = diff
+    return out.reshape(b * rows, b * cols)
 
 
 def _generator_ring_blocks(diff, ring):

@@ -2,8 +2,9 @@
 
 `bench/run.py` looks `clear_resolution_cache` up with a `getattr`
 default and skips it when it is missing, so a rename would let the
-memo survive between timed runs and read as a speed-up; these tests
-make such a rename fail here instead.
+memo survive between timed runs and read as a speed-up, and
+`bench/tracer.py` skips a missing boundary, so its per-layer metrics
+would read 0; these tests make such a rename fail here instead.
 """
 
 import ast
@@ -56,3 +57,16 @@ def test_clear_resolution_cache_empties_the_memo():
         assert module.memo.get()
         qdual.clear_resolution_cache()
         assert module.memo.get() == {}
+
+
+def test_tracer_boundaries_missing_from_the_package_are_the_stale_two(
+        monkeypatch):
+    # `module.span_closure` and `functors.hom_evaluation_map` were
+    # removed from the package while the tracer still names them, so
+    # their metrics read 0; a boundary that goes missing after them
+    # fails here
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    missing = {"%s.%s" % (mod, name) for mod, name, _ in tracer.BOUNDARIES
+               if not hasattr(importlib.import_module("qdual." + mod), name)}
+    assert missing == {"module.span_closure", "functors.hom_evaluation_map"}

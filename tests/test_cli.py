@@ -6,13 +6,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from oracles import reference_tensor_module, ring_text
 
-from qdual import (builtin_module, clear_resolution_cache, cli,
-                   corpus_ring, serialize_module, serialize_ring)
+from qdual import (Module, builtin_module, clear_resolution_cache, cli,
+                   corpus_ring, linalg, serialize_module, serialize_ring)
 
 
 def run_cli(argv):
@@ -173,6 +174,35 @@ def test_resolution_over_the_cell_budget_is_refused(tmp_path):
     assert run.stderr == (
         "error: resolution degree 11 acts on the kernel of the 2048x4096 "
         "d_10: 67108864 cells, over the budget of 16777216\n")
+
+
+@pytest.mark.parametrize("argv", [["hom", "K", "K"], ["tensor", "K", "K"],
+                                  ["classify", "--module", "K",
+                                   "--as", "semidualizing"]],
+                         ids=lambda argv: argv[0])
+def test_hom_constraint_over_the_cell_budget_is_refused(tmp_path, argv):
+    # k^46 is self-dual and neither R nor E, so Hom(k^46, k^46) over r6
+    # has no read-off; its constraint would hold 4 . 46^4 = 17909824
+    # cells, over the budget of 2^24, and is refused before it is
+    # allocated, on one stderr line and with exit code 2
+    r6 = corpus_ring("r6")
+    k = builtin_module(r6, "k")
+    path = tmp_path / "k46.txt"
+    path.write_text(serialize_module(Module(r6, 46, linalg.eye_kron(
+        46, k.action).reshape(r6.dim, 46, 46), name="k46")))
+    argv = [argv[0], "--ring", "corpus:r6"] + [
+        str(path) if a == "K" else a for a in argv[1:]]
+    clear_resolution_cache()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: Hom from dim 46 to dim 46: 17909824 constraint "
+                   "cells, over the budget of 16777216\n")
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_ext_tor_and_resolve_stop_at_the_int_digit_limit(tmp_path):

@@ -679,3 +679,28 @@ def test_resolution_bytes_are_pinned(ring):
             digest.update(repr(matrix.shape).encode())
             digest.update(np.ascontiguousarray(matrix).tobytes())
     assert digest.hexdigest() == RESOLUTION_DIGESTS[ring.name]
+
+
+@pytest.mark.parametrize("ring", [corpus_ring(n) for n in
+                                  ("r1", "r2", "r3", "r4", "r5", "r6")]
+                         + SQUARE_ZERO, ids=lambda r: r.name)
+def test_certificates_do_not_depend_on_their_order(monkeypatch, ring):
+    # each certificate is exact wherever it answers, so every order of
+    # the tuple gives the reference tables; reversed, the m^2 = 0 closed
+    # form answers pairs with a free argument that the free one answers
+    # first otherwise.  Betti numbers grow as e^i, so e = 3 stops at 3
+    e = ring.dim // ring.residue_degree - 1
+    bound = 3 if ring.square_zero and e == 3 else 5
+    r2 = free_module(ring, 2)
+    mods = [builtin_module(ring, s) for s in ("0", "k", "R", "E")]
+    mods += [r2, matlis_dual(r2)] + sample_modules(ring, 3, 5, max_dim=8)
+    pairs = list(itertools.product(mods, repeat=2))
+    with module.memo_scope():
+        want = [tuple(reference_table_dims(m, n, bound, layout)
+                      for layout in ("cjr,rab->cajb", "cjr,rab->jacb"))
+                for m, n in pairs]
+        for order in itertools.permutations(homology.CERTIFICATES):
+            monkeypatch.setattr(homology, "CERTIFICATES", order)
+            for (m, n), tables in zip(pairs, want):
+                assert (tor_dims(m, n, bound).dims,
+                        ext_dims(m, n, bound).dims) == tables, (order, m, n)
