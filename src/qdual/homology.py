@@ -12,7 +12,9 @@ canonical kernel (`linalg.canon_kernel`) with one to three `rref`
 calls: the kernel; then, unless m^2 = 0 with residue field F_p, a
 canonical basis of the syzygy's radical; and, over a residue field
 larger than F_p, one elimination picking the generators.  A zero
-kernel takes the same count, on empty matrices.
+kernel takes the same count, on empty matrices.  A degree is built
+when it is read, and `minimal_free_resolution` reads only what the
+Tor loop below needs for its Betti numbers.
 
 A resolution is one memo entry per degree, never changed after it is
 stored: `_differential(M, i)`, which `module.memoized` wraps, returns
@@ -23,8 +25,11 @@ verdict data; qdual is single-threaded, so the memo takes no lock.
 There is one derived-functor loop, `tor_degrees`, which yields one
 degree of F_* (x) N at a time, resolving M only as far as asked and
 ranking tau_i = d_i (x) N on a block of N's action (`_tor_loop`); Tor
-against k^a ranks nothing, and `qdual resolve` prints it as
-b_i = dim Tor_i(M, k) / r.  Ext comes from the loop through
+against k^a ranks nothing, and b_i = dim Tor_i(M, k) / r, which
+`qdual resolve` prints and `minimal_free_resolution` returns, needs
+d_0..d_i at most, and over m^2 = 0 only d_0 and d_1 at any i; there
+TooLarge is raised on reading `FreeResolution.diffs`, not at the
+call.  Ext comes from the loop through
 Ext^i(M, N^v) = Tor_i(M, N)^v: as N = N^vv, dim Ext^i(M, N) =
 dim Tor_i(M, N^v), and the Hom(F_*, N) matrix of each degree is the
 transpose of the F_* (x) N^v one, so the ranks agree.
@@ -43,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .corpus import builtin_module
 from .errors import RingMismatch, TooLarge
 from .functors import matlis_dual
 from .module import (Module, _generator_ring_blocks, _radical_actions,
@@ -52,14 +58,21 @@ from .module import (Module, _generator_ring_blocks, _radical_actions,
 
 @dataclass(frozen=True)
 class FreeResolution:
-    """Prefix of a minimal free resolution.
+    """Prefix of a minimal free resolution of `module`.
 
-    betti and diffs have length B+1; diffs[0] is the augmentation
-    R^{betti[0]} -> M, and diffs[i] for i >= 1 the field matrix of
-    d_i: R^{betti[i]} -> R^{betti[i-1]}.
+    betti, of length B+1, comes from the Tor loop.  diffs has the same
+    length and is built from the memo when read, so over m^2 = 0 it,
+    not the call, raises TooLarge.  diffs[0] is the augmentation
+    R^{betti[0]} -> M, and diffs[i] for i >= 1 the field matrix of d_i:
+    R^{betti[i]} -> R^{betti[i-1]}.
     """
+    module: Module
     betti: tuple
-    diffs: tuple
+
+    @property
+    def diffs(self):
+        return tuple(_differential(self.module, i)
+                     for i in range(len(self.betti)))
 
 
 @dataclass(frozen=True)
@@ -69,10 +82,14 @@ class DimTable:
 
 
 def minimal_free_resolution(module, length):
-    """Minimal free resolution prefix of the given length."""
-    diffs = tuple(_differential(module, i) for i in range(length + 1))
-    return FreeResolution(
-        tuple(d.shape[1] // module.ring.dim for d in diffs), diffs)
+    """Minimal free resolution prefix of the given length.  The Betti
+    numbers b_i = dim Tor_i(M, k) / r come off the Tor loop, which
+    resolves M through d_length, or over m^2 = 0 through d_1 at most,
+    raising TooLarge as it goes; `diffs` is built when read."""
+    ring = module.ring
+    dims = tor_dims(module, builtin_module(ring, "k"), length).dims
+    return FreeResolution(module, tuple(x // ring.residue_degree
+                                        for x in dims))
 
 
 @memoized

@@ -120,19 +120,20 @@ def hom_cochain_ext_dims(m, n, bound):
     action of the ring element a_ck: sum_t kron(A_t, N_t), with A_t[k, c]
     the e_t coordinate of a_ck.  It shares neither
     `_generator_ring_blocks` nor an einsum layout with `ext_dims`, only
-    the resolution."""
+    the resolution, whose ranks b_i it reads off the widths of the
+    differentials, not off the Tor loop."""
     ring = m.ring
     p, d = ring.p, ring.dim
-    res = minimal_free_resolution(m, bound + 1)
+    diffs = minimal_free_resolution(m, bound + 1).diffs
     ranks = [0]
-    for diff in res.diffs[1:]:
+    for diff in diffs[1:]:
         # column k is d(e_k): the columns d(e_t e_k), t < d, weighted by
         # the unit's coordinates
         gens = sum(int(u) * diff[:, t::d] for t, u in enumerate(ring.unit)) % p
         cochain = sum(np.kron(gens[t::d].T, n.action[t]) for t in range(d))
         ranks.append(linalg.rank(cochain % p, p))
-    return tuple(b * n.dim - ranks[i] - ranks[i + 1]
-                 for i, b in enumerate(res.betti[:bound + 1]))
+    return tuple(x.shape[1] // d * n.dim - ranks[i] - ranks[i + 1]
+                 for i, x in enumerate(diffs[:bound + 1]))
 
 
 def closure_loop_span(module, vectors):

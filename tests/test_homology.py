@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qdual import (Module, builtin_module, clear_resolution_cache, cli,
                    sample_modules, socle, tensor_module, tor_dims,
                    zero_module)
 from qdual.classes import _vanishing
-from qdual.errors import RingMismatch
+from qdual.errors import RingMismatch, TooLarge
 from qdual.homology import _differential, tor_degrees
 from qdual.module import _generator_ring_blocks, _radical_actions
 
@@ -77,9 +78,11 @@ def test_resolution_is_a_complex_and_minimal():
             assert not np.any(res.diffs[i] @ res.diffs[i + 1] % p)
         # minimality: entries of each differential lie in the radical,
         # i.e. tensoring with k kills it; equivalently Ext^i(k,k) has
-        # dimension betti_i * residue_degree
+        # dimension rank F_i * residue_degree, with rank F_i read off the
+        # width of d_i, not off the Tor loop that gives res.betti
         dims = ext_dims(k, k, 4).dims
-        assert dims == tuple(b * ring.residue_degree for b in res.betti[:5])
+        assert dims == tuple(d.shape[1] // ring.dim * ring.residue_degree
+                             for d in res.diffs)
 
 
 def test_ext_cross_oracle_on_corpus():
@@ -261,10 +264,12 @@ def test_eliminations_per_resolution_degree(
         for n in range(1, 6):
             calls.clear()
             actions.clear()
-            res = minimal_free_resolution(m, n)
+            # the Betti numbers need at most d_1; reading diffs builds d_n
+            diffs = minimal_free_resolution(m, n).diffs
+            widths = [d.shape[1] for d in diffs]
             assert len(calls) == (first if n == 1 else later), (
-                n, res.betti, calls)
-            assert len(actions) == 1, (n, res.betti, actions)
+                n, widths, calls)
+            assert len(actions) == 1, (n, widths, actions)
             if n > 1 and later == 0:
                 assert actions == [ring.radical.shape], (n, actions)
 
@@ -287,7 +292,10 @@ def test_tor_against_copies_of_k_ranks_nothing(monkeypatch, ring):
         return rref(a, p)
 
     with module.memo_scope():
-        bettis = [minimal_free_resolution(m, 7).betti for m in mods]
+        # rank F_i read off the width of d_i, not off the Tor loop
+        bettis = [[d.shape[1] // ring.dim
+                   for d in minimal_free_resolution(m, 7).diffs]
+                  for m in mods]
         for n, _ in targets:
             _differential(n, 0)     # b_0, which the loop's head reads
         monkeypatch.setattr(linalg, "rref", spy)
@@ -331,19 +339,20 @@ def test_tor_block_is_read_only_at_a_ranked_degree(monkeypatch):
 
 def reference_table_dims(m, n, bound, layout):
     """The whole table from one resolution of length bound+1, as Ext/Tor
-    were computed before degrees were ranked one at a time."""
+    were computed before degrees were ranked one at a time; rank F_i is
+    the width of d_i, not a number of the Tor loop."""
     ring = m.ring
     p = ring.p
-    res = minimal_free_resolution(m, bound + 1)
+    diffs = minimal_free_resolution(m, bound + 1).diffs
     ranks = [0]
     for i in range(bound + 1):
-        blocks = _generator_ring_blocks(res.diffs[i + 1], ring)
+        blocks = _generator_ring_blocks(diffs[i + 1], ring)
         mat = np.einsum(layout, blocks, n.action) % p
         shape = mat.shape
         ranks.append(linalg.rank(mat.reshape(shape[0] * shape[1],
                                              shape[2] * shape[3]), p))
-    return tuple(b * n.dim - ranks[i] - ranks[i + 1]
-                 for i, b in enumerate(res.betti[:bound + 1]))
+    return tuple(x.shape[1] // ring.dim * n.dim - ranks[i] - ranks[i + 1]
+                 for i, x in enumerate(diffs[:bound + 1]))
 
 
 @pytest.mark.parametrize("ring", [corpus_ring(n) for n in
@@ -645,8 +654,10 @@ def test_square_zero_resolutions_are_exact_at_depth(ring):
                 assert not np.any(d[i] @ d[i + 1] % p), (m, i)
                 assert (linalg.rank(d[i], p) + linalg.rank(d[i + 1], p)
                         == d[i].shape[1]), (m, i)
-            assert all(res.betti[i + 1] == e * res.betti[i]
-                       for i in range(1, length)), (m, res.betti)
+            # rank F_i read off the width of d_i, not off the Tor loop
+            widths = [x.shape[1] // ring.dim for x in d]
+            assert all(widths[i + 1] == e * widths[i]
+                       for i in range(1, length)), (m, widths)
 
 
 # sha256 over the betti numbers, the augmentation matrix and every
@@ -704,3 +715,72 @@ def test_certificates_do_not_depend_on_their_order(monkeypatch, ring):
             for (m, n), tables in zip(pairs, want):
                 assert (tor_dims(m, n, bound).dims,
                         ext_dims(m, n, bound).dims) == tables, (order, m, n)
+
+
+# (ring, length): e = 3 over m^2 = 0 stops at 3, as b_i grows as e^i;
+# r5 and a rebased r5 reach 7, resolve-deep's length.  SQUARE_ZERO ends
+# with F4X
+WIDTH_CASES = ([(corpus_ring(n), 5) for n in ("r1", "r2", "r3", "r4", "r6")]
+               + [(r, 3 if r.dim // r.residue_degree == 4 else 5)
+                  for r in SQUARE_ZERO]
+               + [(corpus_ring("r5"), 7), (rebased_ring(corpus_ring("r5"), 6),
+                                           7)])
+
+
+@pytest.mark.parametrize("ring, length", WIDTH_CASES,
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_betti_numbers_are_the_widths_of_the_differentials(ring, length):
+    # betti comes from the Tor loop against k; the rank of F_i is still
+    # the width of d_i over dim R, as diffs builds it from the memo
+    mods = [builtin_module(ring, s) for s in ("0", "k", "R", "E")]
+    for m in mods + sample_modules(ring, 3, 11, max_dim=6):
+        with module.memo_scope():
+            res = minimal_free_resolution(m, length)
+            assert res.betti == tuple(d.shape[1] // ring.dim
+                                      for d in res.diffs), m
+
+
+def test_square_zero_betti_numbers_of_k_reach_any_length():
+    # over r5, b_i(k) = 2^i in closed form; d_11 would act on a 6144-
+    # column kernel basis, over the cell budget, and only reading diffs
+    # builds it
+    k = builtin_module(corpus_ring("r5"), "k")
+    with module.memo_scope():
+        res = minimal_free_resolution(k, 40)
+        assert res.betti == tuple(2 ** i for i in range(41))
+        with pytest.raises(TooLarge, match="^resolution degree 11 "):
+            res.diffs
+
+
+def test_resolution_over_the_cell_budget_raises_at_the_call():
+    # over F_2[x,y]/(x^2, xy, y^3), not m^2 = 0, the Tor loop against k
+    # resolves every degree it yields, so the call itself is refused at
+    # degree 11, as `qdual resolve -l 40 k` is
+    ring = parse_ring(ring_text("rxy3", 2, 4, {(2, 2): [0, 0, 0, 1]}))
+    k = builtin_module(ring, "k")
+    with module.memo_scope():
+        with pytest.raises(TooLarge, match="^resolution degree 11 "):
+            minimal_free_resolution(k, 40)
+
+
+@pytest.mark.parametrize("ring", [
+    corpus_ring("r5"), rebased_ring(corpus_ring("r5"), 6), SQUARE_ZERO[2],
+    SQUARE_ZERO[6]], ids=lambda r: r.name)
+def test_betti_numbers_of_k_over_square_zero_build_d_0_alone(ring):
+    # resolve-deep's rings, F_2 and F_3 with m^2 = 0 and e = 2, in the
+    # standard and a seeded basis: the closed form answers at degree 0,
+    # so no copies of d_1(k) are allocated (776 KB when every degree
+    # was built)
+    k = builtin_module(ring, "k")
+    with module.memo_scope():
+        tracemalloc.start()
+        try:
+            betti = minimal_free_resolution(k, 7).betti
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        degrees = {key[2] for key in module.memo.get()
+                   if key[0] is _differential.__wrapped__}
+    assert betti == tuple(2 ** i for i in range(8))
+    assert degrees == {0}
+    assert peak < 64 * 2 ** 10, peak

@@ -30,10 +30,11 @@ REPO = Path(__file__).resolve().parents[1]
 # serialize_ring is the writer half of the ring file format, which the
 # tests use to write ring files; nothing else in the repo writes one
 EXEMPT = {"serialize_ring"}
-# the Tor loop computes a resolution's differentials anyway, the
-# augmentation among them, and the pinned RESOLUTION_DIGESTS and the
-# d o d = 0 test (test_resolution_is_a_complex_and_minimal) read them
-# through this field
+# a resolution's Betti numbers come from the Tor loop, and its
+# differentials are built from the memo only when this property is
+# read; nothing in the package reads it, but the pinned
+# RESOLUTION_DIGESTS, the d o d = 0 test
+# (test_resolution_is_a_complex_and_minimal) and the test oracles do
 EXEMPT_ATTRIBUTES = {"FreeResolution.diffs"}
 
 
